@@ -6,9 +6,12 @@ from .exact import (
     Q,
     bits_for_digits,
     correct_digits,
-    enc_arith,
+    enc_arcsin,
+    enc_arctan,
+    enc_cos,
+    enc_sin,
     enc_sqrt,
-    enc_trig,
+    enc_tan,
     pi_reference,
     render,
 )
@@ -24,9 +27,12 @@ __all__ = [
     "Verdict",
     "bits_for_digits",
     "correct_digits",
-    "enc_arith",
+    "enc_arcsin",
+    "enc_arctan",
+    "enc_cos",
+    "enc_sin",
     "enc_sqrt",
-    "enc_trig",
+    "enc_tan",
     "pi_reference",
     "render",
     "__version__",

@@ -15,15 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bounds import (
-    Method,
-    TWO_RUNG,
-    cusa_lower_arc,
-    evaluate,
-    method_n,
-    method_side,
-    snell_upper_arc,
-)
+from .bounds import SIDE, TWO_RUNG, Method, cusa_lower_arc, evaluate, method_n, snell_upper_arc
 from .errors import DomainError, IndeterminateError, InsufficientSamples
 from .exact import Enclosure, Precision, Q, pi_reference
 from .polygon import PolygonLadder, ladder
@@ -76,7 +68,7 @@ def error_sample(lad: PolygonLadder, k: int, method: Method, reference: Q) -> En
             lad, k, Method.HUYGENS_FINAL_LOWER
         )
     value = evaluate(lad, k, method)
-    if method_side(method) == "lower":
+    if SIDE[method] == "lower":
         return reference - value
     return value - reference
 
@@ -192,8 +184,6 @@ def arc_expansion_check(
     """Check |bound(x) - x -+ x^5/a| <= 2 x^7/b on a grid in (0, 1/4]."""
     if method not in _ARC_MODELS:
         raise DomainError(f"no series model for method {method.value!r}")
-    if precision is None:
-        precision = Precision(96)
     bound_fn, sign, a5, a7 = _ARC_MODELS[method]
     worst: Q | None = None
     count = 0

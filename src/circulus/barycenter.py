@@ -15,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CirculusError, DomainError, IllConditioned
-from .exact import Enclosure, Precision, Q, enc_sqrt, enc_trig, pi_reference
+from .exact import (
+    Enclosure,
+    Precision,
+    Q,
+    check_angle,
+    enc_cos,
+    enc_sin,
+    enc_sqrt,
+    lift,
+    pi_reference,
+)
 from .polygon import seed
 from .verdict import Outcome, Verdict, strict_between, strict_less
 
@@ -23,58 +33,50 @@ _SERIES_BELOW = Q(1, 4)
 _ILL_BELOW = Q(1, 1000)
 
 
-def _as_enc(x: Enclosure | Q | int, precision: Precision) -> Enclosure:
-    if isinstance(x, Enclosure):
-        return x
-    return Enclosure.point(Q(x), precision)
-
-
 def _gate(r: Enclosure, theta: Enclosure, precision: Precision, open_pi: bool = False) -> None:
     if r.lo <= 0:
         raise DomainError(f"radius must be positive, got lo={r.lo}")
-    if theta.lo <= 0:
-        raise DomainError(f"central angle must be positive, got lo={theta.lo}")
-    coarse = Precision(min(theta.precision.bits, precision.bits))
-    pi = pi_reference(coarse)
-    if open_pi:
-        if theta.hi >= pi.lo:
-            raise DomainError("central angle must stay below pi")
-    elif theta.hi > pi.hi:
-        raise DomainError("central angle must not exceed pi")
+    check_angle(theta, precision, Q(1), open_pi, "central angle")
+
+
+def _lift_segment(
+    r: Enclosure | Q | int, theta: Enclosure | Q | int, precision: Precision | None
+) -> tuple[Enclosure, Enclosure, Precision]:
+    """Lift (r, theta), the precision defaulting from theta, and gate them."""
+    theta, precision = lift(theta, precision)
+    r, _ = lift(r, precision)
+    _gate(r, theta, precision)
+    return r, theta, precision
 
 
 def _pad(value: Enclosure, amount: Q) -> Enclosure:
     return value + Enclosure.from_endpoints(-amount, amount, value.precision)
 
 
-def _arc_minus_sin(x: Enclosure) -> Enclosure:
-    """x - sin x by its alternating series; requires |x| <= 1/4."""
-    work = x.precision
+def _series_tail(term: Enclosure, x2: Enclosure, offset: int) -> Enclosure:
+    """Sum of t_0 = term and t_k = -t_{k-1} x2 / ((2k + offset)(2k + offset + 1)),
+    stopped at the first term below the tail threshold, which pads the sum."""
+    work = term.precision
     thresh = Q(1, 1 << (work.bits + 4))
-    x2 = x.square()
-    term = x * x2 / 6
     total = Enclosure.point(0, work)
     k = 1
     while term.mag_ub() >= thresh:
         total = total + term
-        term = -(term * x2) / ((2 * k + 2) * (2 * k + 3))
+        term = -(term * x2) / ((2 * k + offset) * (2 * k + offset + 1))
         k += 1
     return _pad(total, term.mag_ub())
+
+
+def _arc_minus_sin(x: Enclosure) -> Enclosure:
+    """x - sin x by its alternating series; requires |x| <= 1/4."""
+    x2 = x.square()
+    return _series_tail(x * x2 / 6, x2, 2)
 
 
 def _one_minus_cos(y: Enclosure) -> Enclosure:
     """1 - cos y by its alternating series; requires |y| <= 1/8."""
-    work = y.precision
-    thresh = Q(1, 1 << (work.bits + 4))
     y2 = y.square()
-    term = y2 / 2
-    total = Enclosure.point(0, work)
-    k = 1
-    while term.mag_ub() >= thresh:
-        total = total + term
-        term = -(term * y2) / ((2 * k + 1) * (2 * k + 2))
-        k += 1
-    return _pad(total, term.mag_ub())
+    return _series_tail(y2 / 2, y2, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,9 +102,9 @@ class SegmentGeometry:
 
 def _xbar_core(r: Enclosure, theta: Enclosure) -> Enclosure:
     half = theta / 2
-    sh = enc_trig(half, "sin")
+    sh = enc_sin(half)
     small = theta.mag_ub() < _SERIES_BELOW
-    ams = _arc_minus_sin(theta) if small else theta - enc_trig(theta, "sin")
+    ams = _arc_minus_sin(theta) if small else theta - enc_sin(theta)
     return r * sh * sh.square() * Q(4, 3) / ams
 
 
@@ -114,11 +116,7 @@ def barycenter_exact(
     Evaluates (4/3) r sin^3(theta/2) / (theta - sin theta); the denominator
     switches to its series below theta = 1/4 to keep the quotient tight.
     """
-    if precision is None:
-        precision = theta.precision if isinstance(theta, Enclosure) else Precision(96)
-    r = _as_enc(r, precision)
-    theta = _as_enc(theta, precision)
-    _gate(r, theta, precision)
+    r, theta, precision = _lift_segment(r, theta, precision)
     if theta.lo < _ILL_BELOW:
         raise IllConditioned(f"theta below {_ILL_BELOW}: barycenter quotient degenerates")
     work = precision.raised(16)
@@ -130,19 +128,15 @@ def segment(
     r: Enclosure | Q | int, theta: Enclosure | Q | int, precision: Precision | None = None
 ) -> SegmentGeometry:
     """Populate every SegmentGeometry field at the requested precision."""
-    if precision is None:
-        precision = theta.precision if isinstance(theta, Enclosure) else Precision(96)
-    r = _as_enc(r, precision)
-    theta = _as_enc(theta, precision)
-    _gate(r, theta, precision)
+    r, theta, precision = _lift_segment(r, theta, precision)
     if theta.lo < _ILL_BELOW:
         raise IllConditioned(f"theta below {_ILL_BELOW}: barycenter quotient degenerates")
     work = precision.raised(16)
     rw = r.at_precision(work)
     tw = theta.at_precision(work)
     half = tw / 2
-    sh = enc_trig(half, "sin")
-    ch = enc_trig(half, "cos")
+    sh = enc_sin(half)
+    ch = enc_cos(half)
     small = tw.mag_ub() < _SERIES_BELOW
     omc = _one_minus_cos(half) if small else 1 - ch
     ams = _arc_minus_sin(tw) if small else tw - sh * ch * 2
@@ -185,19 +179,15 @@ def barycenter_oracle(
     padded by the analytic remainder tau h^4 B / 180 with the static fourth
     derivative bounds B = 8 and B = 29.
     """
-    if precision is None:
-        precision = theta.precision if isinstance(theta, Enclosure) else Precision(96)
     if panels < 2 or panels % 2:
         raise ValueError(f"panels must be even and >= 2, got {panels}")
-    r = _as_enc(r, precision)
-    theta = _as_enc(theta, precision)
-    _gate(r, theta, precision)
+    r, theta, precision = _lift_segment(r, theta, precision)
     work = precision.raised(16)
     rw = r.at_precision(work)
     tau = theta.at_precision(work) / 2
     h = tau / panels
-    s_h = enc_trig(h, "sin")
-    c_h = enc_trig(h, "cos")
+    s_h = enc_sin(h)
+    c_h = enc_cos(h)
     s = Enclosure.point(0, work)
     c = Enclosure.point(1, work)
     sum_a = Enclosure.point(0, work)
@@ -264,8 +254,8 @@ def tangent_triangle_oracle(g: SegmentGeometry, panels: int = 1024) -> Enclosure
     work = g.precision.raised(8)
     r = g.r.at_precision(work)
     half = g.theta.at_precision(work) / 2
-    sh = enc_trig(half, "sin")
-    ch = enc_trig(half, "cos")
+    sh = enc_sin(half)
+    ch = enc_cos(half)
     base = r * ch
     apex = r / ch
     step = (apex - base) / panels

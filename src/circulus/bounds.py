@@ -17,14 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
 from .exact import (
     Enclosure,
     Precision,
     Q,
+    check_angle,
     correct_digits,
-    enc_trig,
-    pi_reference,
+    enc_cos,
+    enc_sin,
+    enc_tan,
+    lift,
 )
 from .polygon import PolygonLadder
 
@@ -69,19 +71,6 @@ TWO_RUNG = frozenset(
 )
 
 
-def method_side(method: Method) -> str:
-    return SIDE[method]
-
-
-def _vii(cn: Enclosure, c2n: Enclosure) -> Enclosure:
-    # the doubled perimeter plus a third of the last gain
-    return (c2n * 4 - cn) / 3
-
-
-def _cusa(cn: Enclosure, c2n: Enclosure) -> Enclosure:
-    return c2n.square() * 3 / (c2n * 2 + cn)
-
-
 def _sharp(cn: Enclosure, c2n: Enclosure, extra: Q | None) -> Enclosure:
     """Shared core of the order-6 bounds.
 
@@ -94,6 +83,34 @@ def _sharp(cn: Enclosure, c2n: Enclosure, extra: Q | None) -> Enclosure:
     return cn + (c2n - cn) * (c2n + cn) * Q(10, 3) / den
 
 
+def _snell(insc: Enclosure, circ: Enclosure) -> Enclosure:
+    return (insc * 2 + circ) / 3
+
+
+def _combined(cn: Enclosure, c2n: Enclosure) -> Enclosure:
+    lo = _sharp(cn, c2n, Q(8, 9))
+    return Enclosure(lo.lo, _sharp(cn, c2n, None).hi, lo.precision)
+
+
+# Method -> combiner of one pair.  Two-rung methods combine (C_n, C_2n) on a
+# ladder and (sin x, 2 sin(x/2)) on an arc; one-rung methods combine the
+# inscribed and circumscribed perimeters (C_n, C'_n).
+_COMBINE = {
+    Method.ARCHIMEDES: lambda insc, circ: Enclosure(insc.lo, circ.hi, insc.precision),
+    # SNELL and SNELL_IX state the same estimate; the former names the arc
+    # inequality, the latter the polygon theorem
+    Method.SNELL: _snell,
+    Method.SNELL_IX: _snell,
+    Method.CUSA: lambda cn, c2n: c2n.square() * 3 / (c2n * 2 + cn),
+    # the doubled perimeter plus a third of the last gain
+    Method.HUYGENS_VII: lambda cn, c2n: (c2n * 4 - cn) / 3,
+    Method.HUYGENS_XVI_UPPER: lambda cn, c2n: _sharp(cn, c2n, None),
+    Method.HUYGENS_FINAL_LOWER: lambda cn, c2n: _sharp(cn, c2n, Q(8, 9)),
+    Method.SCHUH27_LOWER: lambda cn, c2n: _sharp(cn, c2n, Q(3)),
+    Method.COMBINED: _combined,
+}
+
+
 def evaluate(lad: PolygonLadder, k: int, method: Method) -> Enclosure:
     """Evaluate one estimator on a ladder.
 
@@ -103,58 +120,12 @@ def evaluate(lad: PolygonLadder, k: int, method: Method) -> Enclosure:
     if method in TWO_RUNG:
         if not 1 <= k < len(lad.rungs):
             raise IndexError(f"rung pair ({k - 1}, {k}) outside ladder of {len(lad.rungs)}")
-        cn = lad.rungs[k - 1].insc
-        c2n = lad.rungs[k].insc
-        if method is Method.CUSA:
-            return _cusa(cn, c2n)
-        if method is Method.HUYGENS_VII:
-            return _vii(cn, c2n)
-        if method is Method.HUYGENS_XVI_UPPER:
-            return _sharp(cn, c2n, None)
-        if method is Method.HUYGENS_FINAL_LOWER:
-            return _sharp(cn, c2n, Q(8, 9))
-        if method is Method.SCHUH27_LOWER:
-            return _sharp(cn, c2n, Q(3))
-        lo = _sharp(cn, c2n, Q(8, 9))
-        hi = _sharp(cn, c2n, None)
-        return Enclosure(lo.lo, hi.hi, lo.precision)
-    if not 0 <= k < len(lad.rungs):
-        raise IndexError(f"rung {k} outside ladder of {len(lad.rungs)}")
-    rung = lad.rungs[k]
-    if method is Method.ARCHIMEDES:
-        return Enclosure(rung.insc.lo, rung.circ.hi, rung.insc.precision)
-    # SNELL and SNELL_IX state the same estimate; the former names the arc
-    # inequality, the latter the polygon theorem
-    return (rung.insc * 2 + rung.circ) / 3
-
-
-def archimedes(lad: PolygonLadder, k: int) -> Enclosure:
-    """Two-sided bracket [inscribed.lo, circumscribed.hi] at rung k."""
-    return evaluate(lad, k, Method.ARCHIMEDES)
-
-def huygens_vii_lower(lad: PolygonLadder, k: int) -> Enclosure:
-    """C_2n + (C_2n - C_n)/3, below pi with deficiency ~ pi^5/(480 n^4)."""
-    return evaluate(lad, k, Method.HUYGENS_VII)
-
-def snell_ix_upper(lad: PolygonLadder, k: int) -> Enclosure:
-    """(2 C_n + C'_n)/3, above pi with excess ~ pi^5/(20 n^4)."""
-    return evaluate(lad, k, Method.SNELL_IX)
-
-def huygens_xvi_upper(lad: PolygonLadder, k: int) -> Enclosure:
-    """Order-6 upper bound from the pair (C_n, C_2n), excess ~ pi^7/(22400 n^6)."""
-    return evaluate(lad, k, Method.HUYGENS_XVI_UPPER)
-
-def huygens_final_lower(lad: PolygonLadder, k: int) -> Enclosure:
-    """Order-6 lower bound from the pair (C_n, C_2n)."""
-    return evaluate(lad, k, Method.HUYGENS_FINAL_LOWER)
-
-def schuh27_lower(lad: PolygonLadder, k: int) -> Enclosure:
-    """Weaker order-6 lower bound: denominator constant 27/9 instead of 8/9."""
-    return evaluate(lad, k, Method.SCHUH27_LOWER)
-
-def combined(lad: PolygonLadder, k: int) -> Enclosure:
-    """[huygens_final_lower.lo, huygens_xvi_upper.hi]; contains pi."""
-    return evaluate(lad, k, Method.COMBINED)
+        pair = lad.rungs[k - 1].insc, lad.rungs[k].insc
+    else:
+        if not 0 <= k < len(lad.rungs):
+            raise IndexError(f"rung {k} outside ladder of {len(lad.rungs)}")
+        pair = lad.rungs[k].insc, lad.rungs[k].circ
+    return _COMBINE[method](*pair)
 
 
 def method_n(lad: PolygonLadder, k: int, method: Method) -> int:
@@ -195,60 +166,22 @@ def rows(lad: PolygonLadder, method: Method) -> tuple[BoundsRow, ...]:
     return tuple(make_row(lad, k, method) for k in range(start, len(lad.rungs)))
 
 
-def _as_angle(x: Enclosure | Q | int, precision: Precision) -> Enclosure:
-    if isinstance(x, Enclosure):
-        return x
-    return Enclosure.point(Q(x), precision)
+def _pair_arc(combine):
+    return lambda x: combine(enc_sin(x), enc_sin(x / 2) * 2)
 
 
-def _gate(x: Enclosure, precision: Precision, mode: str) -> None:
-    """Reject angles outside the estimator's validity range.
+_SNELL_ARC = (Q(1, 2), True, lambda x: _snell(enc_sin(x), enc_tan(x)))
 
-    mode: "pi" for (0, pi], "open-pi" for (0, pi), "half" for (0, pi/2],
-    "open-half" for (0, pi/2).  The pi comparison is taken at the coarser of
-    the two precisions involved so a pi_reference enclosure at any precision
-    passes as the right endpoint of the closed ranges.
-    """
-    if x.lo <= 0:
-        raise DomainError(f"arc angle must be positive, got lo={x.lo}")
-    coarse = Precision(min(x.precision.bits, precision.bits))
-    pi = pi_reference(coarse)
-    if mode == "pi":
-        if x.hi > pi.hi:
-            raise DomainError("arc angle must not exceed pi")
-    elif mode == "open-pi":
-        if x.hi >= pi.lo:
-            raise DomainError("arc angle must stay below pi")
-    elif mode == "half":
-        if 2 * x.hi > pi.hi:
-            raise DomainError("arc angle must not exceed pi/2")
-    else:
-        if 2 * x.hi >= pi.lo:
-            raise DomainError("arc angle must stay below pi/2")
-
-
-def cusa_lower_arc(x: Enclosure | Q | int, precision: Precision | None = None) -> Enclosure:
-    """3 sin x / (2 + cos x), a lower bound for the arc x on (0, pi/2]."""
-    if precision is None:
-        precision = x.precision if isinstance(x, Enclosure) else Precision(96)
-    x = _as_angle(x, precision)
-    _gate(x, precision, "half")
-    work = precision.raised(8)
-    xw = x.at_precision(work)
-    out = enc_trig(xw, "sin") * 3 / (enc_trig(xw, "cos") + 2)
-    return out.rounded(precision)
-
-
-def snell_upper_arc(x: Enclosure | Q | int, precision: Precision | None = None) -> Enclosure:
-    """(2 sin x + tan x)/3, an upper bound for the arc x on (0, pi/2)."""
-    if precision is None:
-        precision = x.precision if isinstance(x, Enclosure) else Precision(96)
-    x = _as_angle(x, precision)
-    _gate(x, precision, "open-half")
-    work = precision.raised(8)
-    xw = x.at_precision(work)
-    out = (enc_trig(xw, "sin") * 2 + enc_trig(xw, "tan")) / 3
-    return out.rounded(precision)
+# Method -> (angle limit as a fraction of pi, limit excluded, formula in the
+# working angle x)
+_ARC = {
+    Method.ARCHIMEDES: (Q(1), True, lambda x: _COMBINE[Method.ARCHIMEDES](
+        enc_sin(x / 2) * 2, enc_tan(x / 2) * 2)),
+    Method.CUSA: (Q(1, 2), False, lambda x: enc_sin(x) * 3 / (enc_cos(x) + 2)),
+    Method.SNELL: _SNELL_ARC,
+    Method.SNELL_IX: _SNELL_ARC,
+    **{m: (Q(1), False, _pair_arc(_COMBINE[m])) for m in TWO_RUNG - {Method.CUSA}},
+}
 
 
 def arc_bounds(
@@ -257,37 +190,22 @@ def arc_bounds(
     """One estimator applied to a single arc of angle x on the unit circle.
 
     The polygon-pair methods use the chord b = 2 sin(x/2) and sine c = sin x
-    and are valid on (0, pi]; cusa/snell delegate to their raw arc forms on
+    and are valid on (0, pi]; cusa/snell evaluate their raw arc forms on
     (0, pi/2]; archimedes needs (0, pi) for its circumscribed side.  Scaling:
     n * arc_bounds(pi/n, m) reproduces the ladder evaluation of m at the rung
     pair reported at n (for cusa, via 2n * cusa_lower_arc(pi/(2n))).
     """
-    if precision is None:
-        precision = x.precision if isinstance(x, Enclosure) else Precision(96)
-    if method is Method.CUSA:
-        return cusa_lower_arc(x, precision)
-    if method in (Method.SNELL, Method.SNELL_IX):
-        return snell_upper_arc(x, precision)
-    x = _as_angle(x, precision)
-    _gate(x, precision, "open-pi" if method is Method.ARCHIMEDES else "pi")
-    work = precision.raised(8)
-    xw = x.at_precision(work)
-    half = xw / 2
-    b = enc_trig(half, "sin") * 2
-    c = enc_trig(xw, "sin")
-    if method is Method.ARCHIMEDES:
-        t = enc_trig(half, "tan") * 2
-        out = Enclosure(b.lo, t.hi, work)
-    elif method is Method.HUYGENS_VII:
-        out = _vii(c, b)
-    elif method is Method.HUYGENS_XVI_UPPER:
-        out = _sharp(c, b, None)
-    elif method is Method.HUYGENS_FINAL_LOWER:
-        out = _sharp(c, b, Q(8, 9))
-    elif method is Method.SCHUH27_LOWER:
-        out = _sharp(c, b, Q(3))
-    else:
-        lo = _sharp(c, b, Q(8, 9))
-        hi = _sharp(c, b, None)
-        out = Enclosure(lo.lo, hi.hi, work)
-    return out.rounded(precision)
+    x, precision = lift(x, precision)
+    per_pi, open_end, formula = _ARC[method]
+    check_angle(x, precision, per_pi, open_end)
+    return formula(x.at_precision(precision.raised(8))).rounded(precision)
+
+
+def cusa_lower_arc(x: Enclosure | Q | int, precision: Precision | None = None) -> Enclosure:
+    """3 sin x / (2 + cos x), a lower bound for the arc x on (0, pi/2]."""
+    return arc_bounds(x, Method.CUSA, precision)
+
+
+def snell_upper_arc(x: Enclosure | Q | int, precision: Precision | None = None) -> Enclosure:
+    """(2 sin x + tan x)/3, an upper bound for the arc x on (0, pi/2)."""
+    return arc_bounds(x, Method.SNELL, precision)

@@ -34,8 +34,9 @@ from .exact import (
     bits_for_digits,
     correct_digits,
     decimal_string,
+    enc_cos,
+    enc_sin,
     enc_sqrt,
-    enc_trig,
     pi_reference,
     render,
 )
@@ -88,53 +89,70 @@ def _cell(value: Q, digits: int, direction: str) -> str:
     return text + ("v" if direction == "down" else "^")
 
 
-def _enc_row(label: str, n: int, side: str, enc: Enclosure, digits: int) -> dict:
+def _enc_cells(enc: Enclosure, digits: int) -> tuple[str, str]:
+    return _cell(enc.lo, digits, "down"), _cell(enc.hi, digits, "up")
+
+
+def _row(item, digits: int) -> dict:
+    if isinstance(item, dict):
+        return item
+    if isinstance(item, Verdict):
+        margin = "" if item.margin is None else _cell(item.margin, digits, "down")
+        return {
+            "method": f"check:{item.name}={item.outcome.value}",
+            "n": 0,
+            "side": "two_sided",
+            "lo": margin,
+            "hi": margin,
+            "width": "",
+            "correct_digits": 0,
+        }
+    label, n, side, enc = item
+    lo, hi = _enc_cells(enc, digits)
     return {
         "method": label,
         "n": n,
         "side": side,
-        "lo": _cell(enc.lo, digits, "down"),
-        "hi": _cell(enc.hi, digits, "up"),
+        "lo": lo,
+        "hi": hi,
         "width": _cell(enc.width, digits, "up"),
         "correct_digits": correct_digits(enc),
     }
 
 
-def _verdict_row(verdict: Verdict, digits: int) -> dict:
-    margin = "" if verdict.margin is None else _cell(verdict.margin, digits, "down")
-    return {
-        "method": f"check:{verdict.name}={verdict.outcome.value}",
-        "n": 0,
-        "side": "two_sided",
-        "lo": margin,
-        "hi": margin,
-        "width": "",
-        "correct_digits": 0,
-    }
-
-
-def _enc_line(label: str, n: int, side: str, enc: Enclosure, digits: int) -> str:
-    lo = _cell(enc.lo, digits, "down")
-    hi = _cell(enc.hi, digits, "up")
+def _line(item, digits: int) -> str:
+    if isinstance(item, (str, Verdict)):
+        return str(item)
+    label, n, side, enc = item
+    lo, hi = _enc_cells(enc, digits)
     return f"{label:<28} n={n:<7d} {side:<9} {render(enc, digits)}  [{lo}, {hi}]"
 
 
-def _emit(fmt: str, rows: list[dict], plain_lines: list[str]) -> str:
-    if fmt == "plain":
-        return "".join(line + "\n" for line in plain_lines)
-    if fmt == "csv":
-        out = [",".join(CSV_COLUMNS)]
-        out += [",".join(str(row[c]) for c in CSV_COLUMNS) for row in rows]
-        return "".join(line + "\n" for line in out)
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def _worst_exit(verdicts: list[Verdict]) -> int:
-    if any(v.outcome is Outcome.FAIL for v in verdicts):
+def _worst_exit(outcomes: list[Outcome]) -> int:
+    if Outcome.FAIL in outcomes:
         return EXIT_FAIL
-    if any(v.outcome is Outcome.INDETERMINATE for v in verdicts):
+    if Outcome.INDETERMINATE in outcomes:
         return EXIT_INDETERMINATE
     return EXIT_OK
+
+
+def _emit(cfg: RunConfig, items: list) -> tuple[int, str]:
+    """Exit code and output text for one command's output items.
+
+    An item is an enclosure row (label, n, side, enclosure), a verdict, a
+    note (str) printed in plain format only, or a dict row printed in csv
+    and json only.  The verdicts decide the exit code.
+    """
+    code = _worst_exit([item.outcome for item in items if isinstance(item, Verdict)])
+    if cfg.fmt == "plain":
+        lines = [_line(item, cfg.digits) for item in items if not isinstance(item, dict)]
+    else:
+        rows = [_row(item, cfg.digits) for item in items if not isinstance(item, str)]
+        if cfg.fmt == "json":
+            return code, json.dumps(rows, indent=2) + "\n"
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [",".join(str(row[c]) for c in CSV_COLUMNS) for row in rows]
+    return code, "".join(line + "\n" for line in lines)
 
 
 # -- argument parsing helpers ----------------------------------------------
@@ -178,25 +196,17 @@ def _cmd_compute(cfg: RunConfig) -> tuple[int, str]:
     method = Method(cfg.method)
     if method in TWO_RUNG and cfg.doublings < 1:
         raise UsageFault(f"method {method.value!r} needs --doublings >= 1")
-    p = _precision(cfg)
-    lad = polygon.ladder(cfg.seed_sides, cfg.doublings, p)
+    lad = polygon.ladder(cfg.seed_sides, cfg.doublings, _precision(cfg))
     row = bounds.make_row(lad, cfg.doublings, method)
-    label = _seed_label(row.method, cfg.seed_sides)
-    rows = [_enc_row(label, row.n, row.side, row.value, cfg.digits)]
-    lines = [_enc_line(label, row.n, row.side, row.value, cfg.digits)]
-    return EXIT_OK, _emit(cfg.fmt, rows, lines)
+    return _emit(cfg, [(_seed_label(row.method, cfg.seed_sides), row.n, row.side, row.value)])
 
 
 def _cmd_ladder(cfg: RunConfig) -> tuple[int, str]:
-    p = _precision(cfg)
-    lad = polygon.ladder(cfg.seed_sides, cfg.doublings, p)
-    rows, lines = [], []
-    for method in LADDER_METHODS:
-        for row in bounds.rows(lad, method):
-            label = _seed_label(row.method, cfg.seed_sides)
-            rows.append(_enc_row(label, row.n, row.side, row.value, cfg.digits))
-            lines.append(_enc_line(label, row.n, row.side, row.value, cfg.digits))
-    return EXIT_OK, _emit(cfg.fmt, rows, lines)
+    lad = polygon.ladder(cfg.seed_sides, cfg.doublings, _precision(cfg))
+    return _emit(cfg, [
+        (_seed_label(row.method, cfg.seed_sides), row.n, row.side, row.value)
+        for method in LADDER_METHODS for row in bounds.rows(lad, method)
+    ])
 
 
 def _cmd_order(cfg: RunConfig) -> tuple[int, str]:
@@ -205,17 +215,13 @@ def _cmd_order(cfg: RunConfig) -> tuple[int, str]:
     p = _precision(cfg)
     est = analysis.estimate_order(method, cfg.seed_sides, range(start, cfg.doublings + 1), p)
     tag = method.value
-    side = bounds.method_side(method)
+    side = bounds.SIDE[method]
     slope_text = f"{est.slope:.6f}"
-    rows, lines = [], []
-    lines.append(f"order {tag} seed={cfg.seed_sides}: slope {slope_text} ~ n^{round(est.slope)}")
-    for n, err in est.samples:
-        rows.append(_enc_row(f"{tag}:error", n, side, err, cfg.digits))
-        lines.append(_enc_line(f"{tag}:error", n, side, err, cfg.digits))
     n_last = est.samples[-1][0]
-    rows.append(_enc_row(f"{tag}:coefficient", n_last, side, est.coefficient, cfg.digits))
-    lines.append(_enc_line(f"{tag}:coefficient", n_last, side, est.coefficient, cfg.digits))
-    rows.append({
+    items = [f"order {tag} seed={cfg.seed_sides}: slope {slope_text} ~ n^{round(est.slope)}"]
+    items += [(f"{tag}:error", n, side, err) for n, err in est.samples]
+    items.append((f"{tag}:coefficient", n_last, side, est.coefficient))
+    items.append({
         "method": f"{tag}:slope",
         "n": n_last,
         "side": side,
@@ -224,13 +230,12 @@ def _cmd_order(cfg: RunConfig) -> tuple[int, str]:
         "width": "0",
         "correct_digits": 0,
     })
-    return EXIT_OK, _emit(cfg.fmt, rows, lines)
+    return _emit(cfg, items)
 
 
 def _cmd_barycenter(cfg: RunConfig) -> tuple[int, str]:
     p = _precision(cfg)
-    work = p.raised(32)
-    theta = _parse_angle(cfg.theta, work)
+    theta = _parse_angle(cfg.theta, p.raised(32))
     r = _parse_q(cfg.radius, "radius")
     panels = cfg.samples if cfg.samples is not None else 512
     if panels < 2 or panels % 2:
@@ -245,17 +250,11 @@ def _cmd_barycenter(cfg: RunConfig) -> tuple[int, str]:
         gap = max(exact.lo, oracle.lo) - min(exact.hi, oracle.hi)
         verdict = Verdict("exact-oracle-overlap", Outcome.FAIL, -gap,
                           "enclosures disjoint")
-    rows = [
-        _enc_row("barycenter:exact", 0, "two_sided", exact, cfg.digits),
-        _enc_row("barycenter:oracle", panels, "two_sided", oracle, cfg.digits),
-        _verdict_row(verdict, cfg.digits),
-    ]
-    lines = [
-        _enc_line("barycenter:exact", 0, "two_sided", exact, cfg.digits),
-        _enc_line("barycenter:oracle", panels, "two_sided", oracle, cfg.digits),
-        str(verdict),
-    ]
-    return _worst_exit([verdict]), _emit(cfg.fmt, rows, lines)
+    return _emit(cfg, [
+        ("barycenter:exact", 0, "two_sided", exact),
+        ("barycenter:oracle", panels, "two_sided", oracle),
+        verdict,
+    ])
 
 
 _SEGMENT_FIELDS = ("a", "b", "c", "Sigma", "delta", "T", "xi", "xbar")
@@ -263,27 +262,21 @@ _SEGMENT_FIELDS = ("a", "b", "c", "Sigma", "delta", "T", "xi", "xbar")
 
 def _cmd_segment(cfg: RunConfig) -> tuple[int, str]:
     p = _precision(cfg)
-    work = p.raised(32)
-    theta = _parse_angle(cfg.theta, work)
+    theta = _parse_angle(cfg.theta, p.raised(32))
     r = _parse_q(cfg.radius, "radius")
     g = barycenter.segment(r, theta, p)
-    rows, lines = [], []
+    items = []
     for name in _SEGMENT_FIELDS:
         enc = getattr(g, name)
         if enc is None:
-            lines.append(f"segment:{name:<20} undefined (tangent pole at theta = pi)")
-            continue
-        rows.append(_enc_row(f"segment:{name}", 0, "two_sided", enc, cfg.digits))
-        lines.append(_enc_line(f"segment:{name}", 0, "two_sided", enc, cfg.digits))
+            items.append(f"segment:{name:<20} undefined (tangent pole at theta = pi)")
+        else:
+            items.append((f"segment:{name}", 0, "two_sided", enc))
     try:
-        verdicts = list(barycenter.segment_inequality_suite(g))
+        items += barycenter.segment_inequality_suite(g)
     except DomainError:
-        lines.append("inequality suite skipped: theta is not strictly below pi")
-        verdicts = []
-    for v in verdicts:
-        rows.append(_verdict_row(v, cfg.digits))
-        lines.append(str(v))
-    return _worst_exit(verdicts), _emit(cfg.fmt, rows, lines)
+        items.append("inequality suite skipped: theta is not strictly below pi")
+    return _emit(cfg, items)
 
 
 def _cmd_appendix_f(cfg: RunConfig) -> tuple[int, str]:
@@ -291,19 +284,11 @@ def _cmd_appendix_f(cfg: RunConfig) -> tuple[int, str]:
     p = _precision(cfg)
     fx = parasect.f_of_x(x, p)
     report = parasect.area_difference_report(parasect.configure(1, x, p))
-    rows = [
-        _enc_row("f", 0, "two_sided", fx, cfg.digits),
-        _enc_row("sliver-minus-wedge", 0, "two_sided",
-                 report.sliver_minus_wedge, cfg.digits),
-        _verdict_row(report.bound_check, cfg.digits),
-    ]
-    lines = [
-        _enc_line("f", 0, "two_sided", fx, cfg.digits),
-        _enc_line("sliver-minus-wedge", 0, "two_sided",
-                  report.sliver_minus_wedge, cfg.digits),
-        str(report.bound_check),
-    ]
-    return _worst_exit([report.bound_check]), _emit(cfg.fmt, rows, lines)
+    return _emit(cfg, [
+        ("f", 0, "two_sided", fx),
+        ("sliver-minus-wedge", 0, "two_sided", report.sliver_minus_wedge),
+        report.bound_check,
+    ])
 
 
 # -- verify suite ----------------------------------------------------------
@@ -349,7 +334,7 @@ def _vx_sincos_pyth(rng: random.Random, samples: int) -> str:
     p = Precision(96)
     for _ in range(samples):
         x = Enclosure.point(Q(rng.randrange(-3000, 3000), 1000), p)
-        s, c = enc_trig(x, "sin"), enc_trig(x, "cos")
+        s, c = enc_sin(x), enc_cos(x)
         assert (s.square() + c.square()).contains(1), f"pythagorean identity at {x.lo}"
     return f"{samples} angles keep sin^2+cos^2 enclosing 1"
 
@@ -396,7 +381,7 @@ def _vg_area_identity(rng: random.Random, samples: int) -> str:
     lad = polygon.ladder(6, 4, p)
     for rung in lad.rungs:
         angle = pi_reference(Precision(160)) * Q(2, rung.n)
-        target = enc_trig(angle, "sin", p) * Q(rung.n, 2)
+        target = enc_sin(angle, p) * Q(rung.n, 2)
         assert rung.insc_area.overlaps(target), f"area identity at n={rung.n}"
     return "inscribed areas match (n/2) sin(2 pi/n) through n=96"
 
@@ -662,8 +647,7 @@ _VERIFY_CHECKS = (
 def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     rng = random.Random(cfg.rng_seed)
     samples = cfg.samples if cfg.samples is not None else 24
-    lines = []
-    tally = {Outcome.PASS: 0, Outcome.FAIL: 0, Outcome.INDETERMINATE: 0}
+    lines, outcomes = [], []
     for test_id, check in _VERIFY_CHECKS:
         try:
             detail = check(rng, samples)
@@ -672,19 +656,13 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
             outcome, detail = Outcome.FAIL, str(exc)
         except IndeterminateError as exc:
             outcome, detail = Outcome.INDETERMINATE, str(exc)
-        tally[outcome] += 1
+        outcomes.append(outcome)
         lines.append(f"{test_id:<26} {outcome.value.upper():<13} {detail}")
     lines.append(
-        f"verify: {tally[Outcome.PASS]} pass, {tally[Outcome.FAIL]} fail, "
-        f"{tally[Outcome.INDETERMINATE]} indeterminate"
+        f"verify: {outcomes.count(Outcome.PASS)} pass, {outcomes.count(Outcome.FAIL)} fail, "
+        f"{outcomes.count(Outcome.INDETERMINATE)} indeterminate"
     )
-    if tally[Outcome.FAIL]:
-        code = EXIT_FAIL
-    elif tally[Outcome.INDETERMINATE]:
-        code = EXIT_INDETERMINATE
-    else:
-        code = EXIT_OK
-    return code, "".join(line + "\n" for line in lines)
+    return _worst_exit(outcomes), "".join(line + "\n" for line in lines)
 
 
 _COMMANDS = {
@@ -721,42 +699,48 @@ def _env_bits() -> int | None:
     return bits
 
 
-def _seed_option(f):
-    return click.option(
-        "--seed", "seed_sides", type=click.Choice(["3", "4", "6", "30"]),
-        default="6", show_default=True,
-        help="Starting polygon sides; 30 uses the trig-seeded rung.",
-    )(f)
+# one option per name; commands share the objects
+_OPTIONS = {
+    "method": click.Option(
+        ["--method"], type=click.Choice(COMPUTABLE), required=True, help="Estimator family."),
+    "seed": click.Option(
+        ["--seed", "seed_sides"], type=click.Choice(["3", "4", "6", "30"]), default="6",
+        show_default=True, callback=lambda ctx, param, value: int(value),
+        help="Starting polygon sides; 30 uses the trig-seeded rung."),
+    **{f"doublings={d}": click.Option(
+        ["--doublings"], type=click.IntRange(0, 40), default=d, show_default=True,
+        help="Side-doubling steps to take.") for d in (4, 8)},
+    "digits": click.Option(
+        ["--digits"], type=click.IntRange(4, 1000), default=10, show_default=True,
+        help="Requested decimal digits; sets the working precision."),
+    "format": click.Option(
+        ["--format", "fmt"], type=click.Choice(["plain", "csv", "json"]), default="plain",
+        show_default=True, help="Output format."),
+    "theta": click.Option(
+        ["--theta"], required=True, help="Central angle: decimal, fraction, or pi form."),
+    "radius": click.Option(["--radius"], default="1", show_default=True, help="Circle radius."),
+    "panels": click.Option(
+        ["--samples"], type=click.IntRange(2, 1 << 20), default=None,
+        help="Quadrature panel count (even)."),
+    "x": click.Option(["--x"], required=True, help="Height ratio in (0, 1]."),
+    "rng-seed": click.Option(
+        ["--rng-seed"], type=int, default=0, show_default=True,
+        help="Seed for the randomized property checks."),
+    "scale": click.Option(
+        ["--samples"], type=click.IntRange(1, 100000), default=None,
+        help="Scale for randomized sample counts."),
+}
 
-
-def _doublings_option(default: int):
-    def wrap(f):
-        return click.option(
-            "--doublings", type=click.IntRange(0, 40), default=default,
-            show_default=True, help="Side-doubling steps to take.",
-        )(f)
-    return wrap
-
-
-def _digits_option(f):
-    return click.option(
-        "--digits", type=click.IntRange(4, 1000), default=10, show_default=True,
-        help="Requested decimal digits; sets the working precision.",
-    )(f)
-
-
-def _format_option(f):
-    return click.option(
-        "--format", "fmt", type=click.Choice(["plain", "csv", "json"]),
-        default="plain", show_default=True, help="Output format.",
-    )(f)
-
-
-def _method_option(f):
-    return click.option(
-        "--method", type=click.Choice(COMPUTABLE), required=True,
-        help="Estimator family.",
-    )(f)
+# (command, options in help-page order)
+_CLICK_COMMANDS = (
+    ("compute", ("method", "seed", "doublings=4", "digits", "format")),
+    ("ladder", ("seed", "doublings=4", "digits", "format")),
+    ("order", ("method", "seed", "doublings=8", "digits", "format")),
+    ("barycenter", ("theta", "radius", "panels", "digits", "format")),
+    ("segment", ("theta", "radius", "digits", "format")),
+    ("appendix-f", ("x", "digits", "format")),
+    ("verify", ("rng-seed", "scale")),
+)
 
 
 @click.group(name="circulus")
@@ -764,100 +748,17 @@ def cli() -> None:
     """Rigorous enclosures for classical circle bounds."""
 
 
-@cli.command("compute")
-@_method_option
-@_seed_option
-@_doublings_option(4)
-@_digits_option
-@_format_option
-def _click_compute(method, seed_sides, doublings, digits, fmt) -> int:
-    cfg = RunConfig("compute", method=method, seed_sides=int(seed_sides),
-                    doublings=doublings, digits=digits, fmt=fmt,
-                    precision_bits=_env_bits())
-    code, text = execute(cfg)
-    click.echo(text, nl=False)
-    return code
+def _click_command(name: str, options: tuple[str, ...]) -> click.Command:
+    def run(**params) -> int:
+        code, text = execute(RunConfig(name, precision_bits=_env_bits(), **params))
+        click.echo(text, nl=False)
+        return code
+
+    return click.Command(name, callback=run, params=[_OPTIONS[o] for o in options])
 
 
-@cli.command("ladder")
-@_seed_option
-@_doublings_option(4)
-@_digits_option
-@_format_option
-def _click_ladder(seed_sides, doublings, digits, fmt) -> int:
-    cfg = RunConfig("ladder", seed_sides=int(seed_sides), doublings=doublings,
-                    digits=digits, fmt=fmt, precision_bits=_env_bits())
-    code, text = execute(cfg)
-    click.echo(text, nl=False)
-    return code
-
-
-@cli.command("order")
-@_method_option
-@_seed_option
-@_doublings_option(8)
-@_digits_option
-@_format_option
-def _click_order(method, seed_sides, doublings, digits, fmt) -> int:
-    cfg = RunConfig("order", method=method, seed_sides=int(seed_sides),
-                    doublings=doublings, digits=digits, fmt=fmt,
-                    precision_bits=_env_bits())
-    code, text = execute(cfg)
-    click.echo(text, nl=False)
-    return code
-
-
-@cli.command("barycenter")
-@click.option("--theta", required=True, help="Central angle: decimal, fraction, or pi form.")
-@click.option("--radius", default="1", show_default=True, help="Circle radius.")
-@click.option("--samples", type=click.IntRange(2, 1 << 20), default=None,
-              help="Quadrature panel count (even).")
-@_digits_option
-@_format_option
-def _click_barycenter(theta, radius, samples, digits, fmt) -> int:
-    cfg = RunConfig("barycenter", theta=theta, radius=radius, samples=samples,
-                    digits=digits, fmt=fmt, precision_bits=_env_bits())
-    code, text = execute(cfg)
-    click.echo(text, nl=False)
-    return code
-
-
-@cli.command("segment")
-@click.option("--theta", required=True, help="Central angle: decimal, fraction, or pi form.")
-@click.option("--radius", default="1", show_default=True, help="Circle radius.")
-@_digits_option
-@_format_option
-def _click_segment(theta, radius, digits, fmt) -> int:
-    cfg = RunConfig("segment", theta=theta, radius=radius, digits=digits,
-                    fmt=fmt, precision_bits=_env_bits())
-    code, text = execute(cfg)
-    click.echo(text, nl=False)
-    return code
-
-
-@cli.command("appendix-f")
-@click.option("--x", required=True, help="Height ratio in (0, 1].")
-@_digits_option
-@_format_option
-def _click_appendix_f(x, digits, fmt) -> int:
-    cfg = RunConfig("appendix-f", x=x, digits=digits, fmt=fmt,
-                    precision_bits=_env_bits())
-    code, text = execute(cfg)
-    click.echo(text, nl=False)
-    return code
-
-
-@cli.command("verify")
-@click.option("--rng-seed", type=int, default=0, show_default=True,
-              help="Seed for the randomized property checks.")
-@click.option("--samples", type=click.IntRange(1, 100000), default=None,
-              help="Scale for randomized sample counts.")
-def _click_verify(rng_seed, samples) -> int:
-    cfg = RunConfig("verify", rng_seed=rng_seed, samples=samples,
-                    precision_bits=_env_bits())
-    code, text = execute(cfg)
-    click.echo(text, nl=False)
-    return code
+for _name, _options in _CLICK_COMMANDS:
+    cli.add_command(_click_command(_name, _options))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -97,9 +97,7 @@ class Enclosure:
     @classmethod
     def from_rational(cls, value: Q | int, precision: Precision) -> "Enclosure":
         """Tightest grid enclosure of a single rational value."""
-        q = Q(value)
-        b = precision.bits
-        return cls(round_down(q, b), round_up(q, b), precision)
+        return cls.from_endpoints(value, value, precision)
 
     @classmethod
     def point(cls, value: Q | int, precision: Precision) -> "Enclosure":
@@ -238,52 +236,36 @@ class Enclosure:
         return render(self, digits)
 
 
-def enc_arith(a: Enclosure, b: Enclosure, kind: str) -> Enclosure:
-    """Dispatch one of the four ring operations by name."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown operation kind: {kind!r}")
+def lift(
+    x: Enclosure | Q | int, precision: Precision | None = None
+) -> tuple[Enclosure, Precision]:
+    """An argument as an enclosure, and the precision to work at.
+
+    A scalar becomes an exact point enclosure.  The precision defaults to
+    that of x when x is an enclosure, otherwise to 96 bits.
+    """
+    if isinstance(x, Enclosure):
+        return x, precision or x.precision
+    precision = precision or Precision(96)
+    return Enclosure.point(Q(x), precision), precision
 
 
 # -- square root -------------------------------------------------------
 
 
-def _sqrt_down(x: Q, bits: int) -> Q:
-    """Dyadic lower bound on sqrt(x) for x >= 0."""
+def _sqrt_bound(x: Q, bits: int, up: bool) -> Q:
+    """Dyadic lower bound on sqrt(x) for x >= 0, or upper bound when up."""
     if x == 0:
         return _ZERO
     k = bits + 2 - _mag_exponent(x) // 2
     n, d = x.numerator, x.denominator
-    if k >= 0:
-        scaled = (n << 2 * k) // d
-    else:
-        scaled = n // (d << -2 * k)
+    num, den = (n << 2 * k, d) if k >= 0 else (n, d << -2 * k)
+    scaled = -(-num // den) if up else num // den  # ceil or floor of x * 4**k
     r = math.isqrt(scaled)
-    val = Q(r, 1 << k) if k >= 0 else Q(r << -k)
-    return round_down(val, bits)
-
-
-def _sqrt_up(x: Q, bits: int) -> Q:
-    """Dyadic upper bound on sqrt(x) for x >= 0."""
-    if x == 0:
-        return _ZERO
-    k = bits + 2 - _mag_exponent(x) // 2
-    n, d = x.numerator, x.denominator
-    if k >= 0:
-        scaled = -((-n << 2 * k) // d)  # ceil(x * 4**k)
-    else:
-        scaled = -(-n // (d << -2 * k))
-    r = math.isqrt(scaled)
-    if r * r < scaled:
+    if up and r * r < scaled:
         r += 1
     val = Q(r, 1 << k) if k >= 0 else Q(r << -k)
-    return round_up(val, bits)
+    return round_up(val, bits) if up else round_down(val, bits)
 
 
 def enc_sqrt(x: Enclosure, precision: Precision | None = None) -> Enclosure:
@@ -291,7 +273,7 @@ def enc_sqrt(x: Enclosure, precision: Precision | None = None) -> Enclosure:
     if x.lo < 0:
         raise NegativeRadicand(f"sqrt of enclosure with lo = {x.lo} < 0")
     p = precision or x.precision
-    return Enclosure(_sqrt_down(x.lo, p.bits), _sqrt_up(x.hi, p.bits), p)
+    return Enclosure(_sqrt_bound(x.lo, p.bits, False), _sqrt_bound(x.hi, p.bits, True), p)
 
 
 # -- trigonometric and inverse trigonometric functions -----------------
@@ -299,60 +281,47 @@ def enc_sqrt(x: Enclosure, precision: Precision | None = None) -> Enclosure:
 _SERIES_GUARD = 16  # extra working bits inside every series evaluation
 
 
-def _tail_threshold(bits: int) -> Q:
-    return Q(1, 1 << (bits + 4))
+def _alternating_series(
+    x: Enclosure, first: Enclosure, work: Precision, cap: int, name: str,
+    divisor=None, weight=None,
+) -> Enclosure:
+    """first + t_1 + t_2 + ... with t_k = p_k / weight(k), where p_0 = first
+    and p_k = -p_{k-1} x^2 / divisor(k); a missing divisor or weight means 1.
 
-
-def _pad_remainder(total: Enclosure, bound: Q) -> Enclosure:
-    return Enclosure(total.lo - bound, total.hi + bound, total.precision)
+    The term magnitudes must decrease, so the first omitted term bounds the
+    remainder.  Summing stops at the first term below the tail threshold,
+    or fails after cap - 1 terms.
+    """
+    x2 = x.square()
+    power = total = first
+    thresh = Q(1, 1 << (work.bits + 4))
+    for k in range(1, cap):
+        power = -(power * x2)
+        if divisor is not None:
+            power = power / divisor(k)
+        term = power if weight is None else power / weight(k)
+        bound = term.mag_ub()
+        if bound < thresh:
+            return Enclosure(total.lo - bound, total.hi + bound, total.precision)
+        total = total + term
+    raise ArithmeticError(f"{name} series failed to converge")
 
 
 def _sin_series(x: Enclosure, work: Precision) -> Enclosure:
-    # Alternating Taylor series; valid because term magnitudes decrease
-    # for |x| <= 9/8, so the first omitted term bounds the remainder.
-    x2 = x.square()
-    term = x
-    total = x
-    thresh = _tail_threshold(work.bits)
-    for k in range(1, 200):
-        term = -(term * x2) / ((2 * k) * (2 * k + 1))
-        bound = term.mag_ub()
-        if bound < thresh:
-            return _pad_remainder(total, bound)
-        total = total + term
-    raise ArithmeticError("sine series failed to converge")
+    # the terms decrease for |x| <= 9/8
+    return _alternating_series(x, x, work, 200, "sine", divisor=lambda k: (2 * k) * (2 * k + 1))
 
 
 def _cos_series(x: Enclosure, work: Precision) -> Enclosure:
-    x2 = x.square()
-    term = Enclosure.point(_ONE, work)
-    total = term
-    thresh = _tail_threshold(work.bits)
-    for k in range(1, 200):
-        term = -(term * x2) / ((2 * k - 1) * (2 * k))
-        bound = term.mag_ub()
-        if bound < thresh:
-            return _pad_remainder(total, bound)
-        total = total + term
-    raise ArithmeticError("cosine series failed to converge")
+    one = Enclosure.point(_ONE, work)
+    return _alternating_series(
+        x, one, work, 200, "cosine", divisor=lambda k: (2 * k - 1) * (2 * k)
+    )
 
 
 def _arctan_series(x: Enclosure, work: Precision) -> Enclosure:
     # Requires |x| well below 1; callers reduce to |x| <= 0.27.
-    x2 = x.square()
-    power = x
-    total = x
-    sign = -1
-    thresh = _tail_threshold(work.bits)
-    for k in range(1, 400):
-        power = power * x2
-        term = power / (2 * k + 1)
-        bound = term.mag_ub()
-        if bound < thresh:
-            return _pad_remainder(total, bound)
-        total = total + term if sign > 0 else total - term
-        sign = -sign
-    raise ArithmeticError("arctangent series failed to converge")
+    return _alternating_series(x, x, work, 400, "arctangent", weight=lambda k: 2 * k + 1)
 
 
 def _clamp_unit(e: Enclosure) -> Enclosure:
@@ -369,38 +338,24 @@ def _reduce_quarter(x: Enclosure, work: Precision) -> tuple[Enclosure, int]:
     return y, q % 4
 
 
-def enc_sin(x: Enclosure, precision: Precision | None = None) -> Enclosure:
+def _sin_quarters(x: Enclosure, precision: Precision | None, shift: int) -> Enclosure:
+    """sin(x + shift*pi/2), from one series after quarter-turn reduction."""
     p = precision or x.precision
     work = p.raised(_SERIES_GUARD)
     y, q = _reduce_quarter(x.at_precision(work), work)
     if y.mag_ub() > Q(9, 8):
         return Enclosure(Q(-1), _ONE, p)  # argument too wide to reduce
-    if q == 0:
-        out = _sin_series(y, work)
-    elif q == 1:
-        out = _cos_series(y, work)
-    elif q == 2:
-        out = -_sin_series(y, work)
-    else:
-        out = -_cos_series(y, work)
-    return _clamp_unit(out.rounded(p))
+    q = (q + shift) % 4
+    out = _sin_series(y, work) if q % 2 == 0 else _cos_series(y, work)
+    return _clamp_unit((out if q < 2 else -out).rounded(p))
+
+
+def enc_sin(x: Enclosure, precision: Precision | None = None) -> Enclosure:
+    return _sin_quarters(x, precision, 0)
 
 
 def enc_cos(x: Enclosure, precision: Precision | None = None) -> Enclosure:
-    p = precision or x.precision
-    work = p.raised(_SERIES_GUARD)
-    y, q = _reduce_quarter(x.at_precision(work), work)
-    if y.mag_ub() > Q(9, 8):
-        return Enclosure(Q(-1), _ONE, p)
-    if q == 0:
-        out = _cos_series(y, work)
-    elif q == 1:
-        out = -_sin_series(y, work)
-    elif q == 2:
-        out = -_cos_series(y, work)
-    else:
-        out = _sin_series(y, work)
-    return _clamp_unit(out.rounded(p))
+    return _sin_quarters(x, precision, 1)
 
 
 def enc_tan(x: Enclosure, precision: Precision | None = None) -> Enclosure:
@@ -455,27 +410,11 @@ def enc_arcsin(x: Enclosure, precision: Precision | None = None) -> Enclosure:
     return Enclosure(lo, hi, work).rounded(p)
 
 
-_TRIG = {
-    "sin": enc_sin,
-    "cos": enc_cos,
-    "tan": enc_tan,
-    "arcsin": enc_arcsin,
-    "arctan": enc_arctan,
-}
-
-
-def enc_trig(x: Enclosure, which: str, precision: Precision | None = None) -> Enclosure:
-    try:
-        fn = _TRIG[which]
-    except KeyError:
-        raise ValueError(f"unknown trig function: {which!r}") from None
-    return fn(x, precision)
-
-
 # -- pi ----------------------------------------------------------------
 
-_pi_tight: Enclosure | None = None
-_pi_bits = 0
+# (bits, tight enclosure), replaced in one assignment so that a reader
+# never sees an enclosure paired with another computation's bits
+_pi_cache: tuple[int, Enclosure | None] = (0, None)
 
 
 def pi_reference(precision: Precision) -> Enclosure:
@@ -484,19 +423,41 @@ def pi_reference(precision: Precision) -> Enclosure:
     Results at different precisions are coarsenings of one shared tight
     interval, so pi_reference(p) always encloses pi_reference(p + k).
     """
-    global _pi_tight, _pi_bits
+    global _pi_cache
+    bits, tight = _pi_cache
     need = precision.bits
-    if _pi_bits < need:
+    if bits < need:
         work = Precision(need + 32)
         a = _arctan_series(Enclosure.point(Q(1, 5), work), work)
         b = _arctan_series(Enclosure.point(Q(1, 239), work), work)
         fresh = a * 16 - b * 4
-        if _pi_tight is not None:
+        if tight is not None:
             # both intervals contain pi, so the intersection does too;
             # intersecting keeps every previously returned coarsening valid
-            fresh = fresh.intersect(_pi_tight.at_precision(work))
-        _pi_tight, _pi_bits = fresh, need
-    return _pi_tight.rounded(precision)
+            fresh = fresh.intersect(tight.at_precision(work))
+        tight = fresh
+        _pi_cache = (need, tight)
+    return tight.rounded(precision)
+
+
+def check_angle(
+    x: Enclosure, precision: Precision, per_pi: Q, open_end: bool, what: str = "arc angle"
+) -> None:
+    """Reject angles outside (0, per_pi*pi], or (0, per_pi*pi) when open_end.
+
+    The pi comparison is taken at the coarser of the two precisions involved
+    so a pi_reference enclosure at any precision passes as the right endpoint
+    of the closed ranges.
+    """
+    if x.lo <= 0:
+        raise DomainError(f"{what} must be positive, got lo={x.lo}")
+    pi = pi_reference(Precision(min(x.precision.bits, precision.bits)))
+    limit = "pi" if per_pi == 1 else f"pi/{per_pi.denominator}"
+    if open_end:
+        if x.hi >= pi.lo * per_pi:
+            raise DomainError(f"{what} must stay below {limit}")
+    elif x.hi > pi.hi * per_pi:
+        raise DomainError(f"{what} must not exceed {limit}")
 
 
 # -- precision policy ---------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .exact import Enclosure, Precision, Q, enc_arcsin, enc_sqrt, pi_reference
+from .exact import Enclosure, Precision, Q, enc_arcsin, enc_sqrt, lift, pi_reference
 from .verdict import Verdict, strict_less
 
 __all__ = [
@@ -47,18 +47,12 @@ class AreaDifferenceReport:
     bound_check: Verdict
 
 
-def _as_enc(v: Enclosure | Q | int, precision: Precision) -> Enclosure:
-    return v if isinstance(v, Enclosure) else Enclosure.point(Q(v), precision)
-
-
 def configure(
     r: Enclosure | Q | int, b: Enclosure | Q | int, precision: Precision | None = None
 ) -> ParabolaCircleConfig:
     """Build the comparison figure for a segment of height b on a circle of radius r."""
-    if precision is None:
-        precision = b.precision if isinstance(b, Enclosure) else Precision(96)
-    r = _as_enc(r, precision)
-    b = _as_enc(b, precision)
+    b, precision = lift(b, precision)
+    r, _ = lift(r, precision)
     if r.lo <= 0:
         raise DomainError("radius must be positive")
     if b.lo <= 0 or b.hi > r.hi:
@@ -98,9 +92,7 @@ def f_of_x(x: Enclosure | Q | int, precision: Precision | None = None) -> Enclos
     f(x) = pi/4 - arcsin(1-x)/2 - (1-x) sqrt(2x-x^2)/2 - (2x/(3 sqrt 5)) sqrt(10x-3x^2),
     negative throughout (0, 1].
     """
-    if precision is None:
-        precision = x.precision if isinstance(x, Enclosure) else Precision(96)
-    x = _as_enc(x, precision)
+    x, precision = lift(x, precision)
     if x.lo <= 0 or x.hi > 1:
         raise DomainError(f"x must lie in (0, 1], got [{x.lo}, {x.hi}]")
     work = precision.raised(8)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedSeed
-from .exact import Enclosure, Precision, Q, enc_sqrt, enc_trig, pi_reference
+from .exact import Enclosure, Precision, Q, enc_sin, enc_sqrt, enc_tan, pi_reference
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,8 +67,8 @@ def trig_rung(n: int, precision: Precision) -> PolygonRung:
         raise UnsupportedSeed(f"a polygon needs at least 3 sides, got {n}")
     work = precision.raised(8)
     x = pi_reference(work) * Q(1, n)
-    insc = (enc_trig(x, "sin") * n).rounded(precision)
-    circ = (enc_trig(x, "tan") * n).rounded(precision)
+    insc = (enc_sin(x) * n).rounded(precision)
+    circ = (enc_tan(x) * n).rounded(precision)
     return _finish_rung(n, insc, circ)
 
 

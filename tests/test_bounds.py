@@ -9,18 +9,11 @@ from circulus.bounds import (
     TWO_RUNG,
     Method,
     arc_bounds,
-    archimedes,
-    combined,
     cusa_lower_arc,
     evaluate,
-    huygens_final_lower,
-    huygens_vii_lower,
-    huygens_xvi_upper,
     make_row,
     method_n,
     rows,
-    schuh27_lower,
-    snell_ix_upper,
     snell_upper_arc,
 )
 from circulus.errors import DomainError
@@ -51,22 +44,22 @@ def lad30():
 
 
 def test_frozen_values_on_hexagon_ladder(lad6) -> None:
-    assert _band(huygens_vii_lower(lad6, 1), "3.1411047216403322")
+    assert _band(evaluate(lad6, 1, Method.HUYGENS_VII), "3.1411047216403322")
     assert _band(evaluate(lad6, 1, Method.CUSA), "3.1415099936429214")
-    assert _band(snell_ix_upper(lad6, 0), "3.1547005383792515")
-    assert _band(snell_ix_upper(lad6, 1), "3.1423491305446569")
-    assert _band(huygens_xvi_upper(lad6, 1), "3.1415955592516111")
-    assert _band(huygens_final_lower(lad6, 1), "3.1415894676570127")
-    assert _band(schuh27_lower(lad6, 1), "3.1415750022202578")
+    assert _band(evaluate(lad6, 0, Method.SNELL_IX), "3.1547005383792515")
+    assert _band(evaluate(lad6, 1, Method.SNELL_IX), "3.1423491305446569")
+    assert _band(evaluate(lad6, 1, Method.HUYGENS_XVI_UPPER), "3.1415955592516111")
+    assert _band(evaluate(lad6, 1, Method.HUYGENS_FINAL_LOWER), "3.1415894676570127")
+    assert _band(evaluate(lad6, 1, Method.SCHUH27_LOWER), "3.1415750022202578")
 
 
 def test_frozen_values_on_trig_ladder(lad30) -> None:
-    assert _band(huygens_vii_lower(lad30, 1), "3.1415918667589719")
+    assert _band(evaluate(lad30, 1, Method.HUYGENS_VII), "3.1415918667589719")
     assert _band(evaluate(lad30, 1, Method.CUSA), "3.1415925223656942")
-    assert _band(snell_ix_upper(lad30, 1), "3.1415938353785774")
-    assert _band(huygens_xvi_upper(lad30, 1), "3.1415926537747909")
-    assert _band(huygens_final_lower(lad30, 1), "3.1415926533909283")
-    assert _band(schuh27_lower(lad30, 1), "3.1415926524792550")
+    assert _band(evaluate(lad30, 1, Method.SNELL_IX), "3.1415938353785774")
+    assert _band(evaluate(lad30, 1, Method.HUYGENS_XVI_UPPER), "3.1415926537747909")
+    assert _band(evaluate(lad30, 1, Method.HUYGENS_FINAL_LOWER), "3.1415926533909283")
+    assert _band(evaluate(lad30, 1, Method.SCHUH27_LOWER), "3.1415926524792550")
 
 
 def test_sidedness_along_ladder(lad6) -> None:
@@ -76,22 +69,22 @@ def test_sidedness_along_ladder(lad6) -> None:
             assert evaluate(lad6, k, m).hi < pi.lo
         for m in UPPER:
             assert evaluate(lad6, k, m).lo > pi.hi
-        both = archimedes(lad6, k)
+        both = evaluate(lad6, k, Method.ARCHIMEDES)
         assert both.lo < pi.lo and pi.hi < both.hi
-        comb = combined(lad6, k)
+        comb = evaluate(lad6, k, Method.COMBINED)
         assert comb.lo < pi.lo and pi.hi < comb.hi
 
 
 def test_dominance_chain(lad6) -> None:
     # within one rung pair, sharper methods land between weaker ones and pi
     for k in range(1, len(lad6.rungs)):
-        arch = archimedes(lad6, k - 1)
-        vii = huygens_vii_lower(lad6, k)
+        arch = evaluate(lad6, k - 1, Method.ARCHIMEDES)
+        vii = evaluate(lad6, k, Method.HUYGENS_VII)
         cusa = evaluate(lad6, k, Method.CUSA)
-        schuh = schuh27_lower(lad6, k)
-        final = huygens_final_lower(lad6, k)
-        xvi = huygens_xvi_upper(lad6, k)
-        ix = snell_ix_upper(lad6, k - 1)
+        schuh = evaluate(lad6, k, Method.SCHUH27_LOWER)
+        final = evaluate(lad6, k, Method.HUYGENS_FINAL_LOWER)
+        xvi = evaluate(lad6, k, Method.HUYGENS_XVI_UPPER)
+        ix = evaluate(lad6, k - 1, Method.SNELL_IX)
         assert arch.lo < vii.lo
         assert vii.hi < cusa.lo
         assert cusa.hi < schuh.lo
@@ -102,9 +95,9 @@ def test_dominance_chain(lad6) -> None:
 
 
 def test_combined_is_final_and_xvi(lad6) -> None:
-    comb = combined(lad6, 1)
-    assert comb.lo == huygens_final_lower(lad6, 1).lo
-    assert comb.hi == huygens_xvi_upper(lad6, 1).hi
+    comb = evaluate(lad6, 1, Method.COMBINED)
+    assert comb.lo == evaluate(lad6, 1, Method.HUYGENS_FINAL_LOWER).lo
+    assert comb.hi == evaluate(lad6, 1, Method.HUYGENS_XVI_UPPER).hi
 
 
 def test_xvi_algebraic_forms_agree(lad6) -> None:
@@ -112,7 +105,7 @@ def test_xvi_algebraic_forms_agree(lad6) -> None:
     cn = lad6.rungs[0].insc
     c2n = lad6.rungs[1].insc
     alt = c2n + ((c2n - cn) / 3) * (c2n * 4 + cn) / (c2n * 2 + cn * 3)
-    assert alt.overlaps(huygens_xvi_upper(lad6, 1))
+    assert alt.overlaps(evaluate(lad6, 1, Method.HUYGENS_XVI_UPPER))
     # and exactly, on rational points
     a, b = Q(3), Q(31, 10)
     lhs = b + (b - a) / 3 * (4 * b + a) / (2 * b + 3 * a)
@@ -231,7 +224,7 @@ def test_arc_perimeter_consistency(lad6) -> None:
     assert scaled.overlaps(evaluate(lad6, 1, Method.CUSA))
     # snell-ix matches at its own rung count
     scaled = snell_upper_arc(pi * Q(1, 12), P128) * 12
-    assert scaled.overlaps(snell_ix_upper(lad6, 1))
+    assert scaled.overlaps(evaluate(lad6, 1, Method.SNELL_IX))
 
 
 def test_rational_angle_accepted() -> None:

@@ -21,9 +21,12 @@ from circulus.exact import (
     bits_for_digits,
     correct_digits,
     decimal_string,
-    enc_arith,
+    enc_arcsin,
+    enc_arctan,
+    enc_cos,
+    enc_sin,
     enc_sqrt,
-    enc_trig,
+    enc_tan,
     pi_reference,
     render,
     round_down,
@@ -73,7 +76,7 @@ def test_rounding_relative_error(x: Q, bits: int) -> None:
 def test_add_exact_points() -> None:
     a = Enclosure.point(1, P64)
     b = Enclosure.point(2, P64)
-    out = enc_arith(a, b, "add")
+    out = a + b
     assert out.lo == out.hi == 3
 
 
@@ -169,24 +172,24 @@ def test_pi_reference_nests_across_precisions() -> None:
 
 
 def test_sin_zero_is_exact() -> None:
-    out = enc_trig(Enclosure.point(0, P64), "sin")
+    out = enc_sin(Enclosure.point(0, P64))
     assert out.lo == out.hi == 0
 
 
 def test_cos_zero_is_exact_one() -> None:
-    out = enc_trig(Enclosure.point(0, P64), "cos")
+    out = enc_cos(Enclosure.point(0, P64))
     assert out.contains(1) and out.width == 0
 
 
 def test_cos_pi_thirds() -> None:
     x = pi_reference(P128) * Q(1, 3)
-    out = enc_trig(x, "cos")
+    out = enc_cos(x)
     assert out.contains(Q(1, 2))
     assert out.width < Q(1, 2**110)
 
 
 def test_sin_of_pi_contains_zero() -> None:
-    out = enc_trig(pi_reference(P128), "sin")
+    out = enc_sin(pi_reference(P128))
     assert out.contains(0)
     assert out.mag_ub() < Q(1, 2**110)
 
@@ -194,27 +197,27 @@ def test_sin_of_pi_contains_zero() -> None:
 def test_large_argument_reduction() -> None:
     # 100 radians needs several quarter-turn reductions
     x = Enclosure.point(100, P128)
-    s, c = enc_trig(x, "sin"), enc_trig(x, "cos")
+    s, c = enc_sin(x), enc_cos(x)
     assert (s.square() + c.square()).contains(1)
     assert s.hi < 0 < c.lo  # 100 rad sits in the third quadrant mod 2*pi
 
 
 def test_tan_quarter() -> None:
-    s = enc_trig(Enclosure.point(Q(1, 4), P128), "tan")
+    s = enc_tan(Enclosure.point(Q(1, 4), P128))
     # tan(1/4) = sin(1/4)/cos(1/4); recompute by the component route
-    sin_q = enc_trig(Enclosure.point(Q(1, 4), P128), "sin")
-    cos_q = enc_trig(Enclosure.point(Q(1, 4), P128), "cos")
+    sin_q = enc_sin(Enclosure.point(Q(1, 4), P128))
+    cos_q = enc_cos(Enclosure.point(Q(1, 4), P128))
     assert s.overlaps(sin_q / cos_q)
 
 
 def test_tan_near_pole_raises() -> None:
     half_pi = pi_reference(P64) * Q(1, 2)
     with pytest.raises(PoleProximity):
-        enc_trig(half_pi, "tan")
+        enc_tan(half_pi)
 
 
 def test_arcsin_one_matches_half_pi() -> None:
-    out = enc_trig(Enclosure.point(1, P128), "arcsin")
+    out = enc_arcsin(Enclosure.point(1, P128))
     half_pi = pi_reference(P128) * Q(1, 2)
     assert out.overlaps(half_pi)
     assert out.width < Q(1, 2**110)
@@ -222,11 +225,11 @@ def test_arcsin_one_matches_half_pi() -> None:
 
 def test_arcsin_domain_error() -> None:
     with pytest.raises(DomainError):
-        enc_trig(Enclosure(Q(0), Q(2), P64), "arcsin")
+        enc_arcsin(Enclosure(Q(0), Q(2), P64))
 
 
 def test_arctan_one_is_quarter_pi() -> None:
-    out = enc_trig(Enclosure.point(1, P128), "arctan")
+    out = enc_arctan(Enclosure.point(1, P128))
     assert out.overlaps(pi_reference(P128) * Q(1, 4))
 
 
@@ -234,15 +237,15 @@ def test_arctan_one_is_quarter_pi() -> None:
 @settings(max_examples=60)
 def test_pythagorean_identity(x: Q) -> None:
     e = Enclosure.point(x, P64)
-    s, c = enc_trig(e, "sin"), enc_trig(e, "cos")
+    s, c = enc_sin(e), enc_cos(e)
     assert (s.square() + c.square()).contains(1)
 
 
 @given(x=st.fractions(min_value=Q(-20), max_value=Q(20), max_denominator=10**4))
 @settings(max_examples=60)
 def test_arctan_odd_symmetry(x: Q) -> None:
-    pos = enc_trig(Enclosure.point(x, P64), "arctan")
-    neg = enc_trig(Enclosure.point(-x, P64), "arctan")
+    pos = enc_arctan(Enclosure.point(x, P64))
+    neg = enc_arctan(Enclosure.point(-x, P64))
     assert pos.overlaps(-neg)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from circulus.errors import UnsupportedSeed
-from circulus.exact import Enclosure, Precision, Q, enc_trig, pi_reference
+from circulus.exact import Enclosure, Precision, Q, enc_sin, pi_reference
 from circulus.polygon import PolygonLadder, chord_sine, double, ladder, seed, trig_rung
 
 P64 = Precision(64)
@@ -126,7 +126,7 @@ def test_areas_unit_radius() -> None:
 def test_area_identity_against_direct_formula() -> None:
     for r in ladder(6, 6, P128).rungs:
         x = pi_reference(Precision(160)) * Q(2, r.n)
-        direct = enc_trig(x, "sin") * Q(r.n, 2)
+        direct = enc_sin(x) * Q(r.n, 2)
         assert r.insc_area.overlaps(direct)
 
 
