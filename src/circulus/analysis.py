@@ -19,7 +19,7 @@ from .bounds import SIDE, TWO_RUNG, Method, cusa_lower_arc, evaluate, method_n, 
 from .errors import DomainError, IndeterminateError, InsufficientSamples
 from .exact import Enclosure, Precision, Q, pi_reference
 from .polygon import PolygonLadder, ladder
-from .verdict import Outcome, Verdict
+from .verdict import Outcome, Verdict, strict_between, strict_less
 
 __all__ = [
     "CoefficientRow",
@@ -151,18 +151,11 @@ def coefficient_table(precision: Precision | None = None) -> tuple[CoefficientRo
         exp_pi, denom = constant
         expected = (_pi_power(exp_pi, work) / denom).rounded(precision)
         ratio = measured / expected
-        lo_gap = ratio.lo - (1 - _TOLERANCE)
-        hi_gap = (1 + _TOLERANCE) - ratio.hi
-        if lo_gap > 0 and hi_gap > 0:
-            outcome = Outcome.PASS
-        elif ratio.hi < 1 - _TOLERANCE or ratio.lo > 1 + _TOLERANCE:
-            outcome = Outcome.FAIL
-        else:
-            outcome = Outcome.INDETERMINATE
-        verdict = Verdict(
+        verdict = strict_between(
             f"coefficient-{method.value}",
-            outcome,
-            min(lo_gap, hi_gap),
+            Enclosure.point(1 - _TOLERANCE, ratio.precision),
+            ratio,
+            Enclosure.point(1 + _TOLERANCE, ratio.precision),
             f"measured/expected in [{ratio.lo}, {ratio.hi}], tolerance 3%",
         )
         out.append(CoefficientRow(method, order, expected, measured, tag, verdict))
@@ -185,36 +178,23 @@ def arc_expansion_check(
     if method not in _ARC_MODELS:
         raise DomainError(f"no series model for method {method.value!r}")
     bound_fn, sign, a5, a7 = _ARC_MODELS[method]
-    worst: Q | None = None
-    count = 0
+    name = f"arc-expansion-{method.value}"
+    margins = []
     for raw in x_grid:
         x = Q(raw)
         if x <= 0 or x > Q(1, 4):
             raise DomainError(f"grid point {x} outside (0, 1/4]")
         deviation = abs(bound_fn(x, precision) - x - sign * x**5 / a5)
-        envelope = 2 * x**7 / a7
-        if deviation.lo > envelope:
-            return Verdict(
-                f"arc-expansion-{method.value}",
-                Outcome.FAIL,
-                envelope - deviation.lo,
-                f"deviation at x={x} exceeds 2|next term|",
-            )
-        if not deviation.hi < envelope:
-            return Verdict(
-                f"arc-expansion-{method.value}",
-                Outcome.INDETERMINATE,
-                Q(0),
-                f"deviation enclosure at x={x} straddles the envelope",
-            )
-        margin = envelope - deviation.hi
-        worst = margin if worst is None else min(worst, margin)
-        count += 1
-    if count == 0:
+        envelope = Enclosure.point(2 * x**7 / a7, deviation.precision)
+        verdict = strict_less(name, deviation, envelope, f"deviation at x={x} vs 2|next term|")
+        if not verdict.passed:
+            return verdict
+        margins.append(verdict.margin)
+    if not margins:
         raise DomainError("empty grid")
     return Verdict(
-        f"arc-expansion-{method.value}",
+        name,
         Outcome.PASS,
-        worst,
-        f"{count} grid points inside the two-term envelope",
+        min(margins),
+        f"{len(margins)} grid points inside the two-term envelope",
     )

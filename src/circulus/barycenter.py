@@ -19,6 +19,7 @@ from .exact import (
     Enclosure,
     Precision,
     Q,
+    _alternating_series,
     check_angle,
     enc_cos,
     enc_sin,
@@ -27,7 +28,7 @@ from .exact import (
     pi_reference,
 )
 from .polygon import seed
-from .verdict import Outcome, Verdict, strict_between, strict_less
+from .verdict import Outcome, Verdict, contains_value, strict_between, strict_less
 
 _SERIES_BELOW = Q(1, 4)
 _ILL_BELOW = Q(1, 1000)
@@ -40,43 +41,48 @@ def _gate(r: Enclosure, theta: Enclosure, precision: Precision, open_pi: bool = 
 
 
 def _lift_segment(
-    r: Enclosure | Q | int, theta: Enclosure | Q | int, precision: Precision | None
+    r: Enclosure | Q | int, theta: Enclosure | Q | int, precision: Precision | None,
+    conditioned: bool = True,
 ) -> tuple[Enclosure, Enclosure, Precision]:
-    """Lift (r, theta), the precision defaulting from theta, and gate them."""
+    """Lift (r, theta), the precision defaulting from theta, gate them, and
+    return them at working bits together with the requested precision.
+
+    When conditioned, also refuse the thin segments where the closed-form
+    xbar quotient degenerates.
+    """
     theta, precision = lift(theta, precision)
     r, _ = lift(r, precision)
     _gate(r, theta, precision)
-    return r, theta, precision
+    if conditioned and theta.lo < _ILL_BELOW:
+        raise IllConditioned(f"theta below {_ILL_BELOW}: barycenter quotient degenerates")
+    work = precision.raised(16)
+    return r.at_precision(work), theta.at_precision(work), precision
 
 
 def _pad(value: Enclosure, amount: Q) -> Enclosure:
     return value + Enclosure.from_endpoints(-amount, amount, value.precision)
 
 
-def _series_tail(term: Enclosure, x2: Enclosure, offset: int) -> Enclosure:
-    """Sum of t_0 = term and t_k = -t_{k-1} x2 / ((2k + offset)(2k + offset + 1)),
-    stopped at the first term below the tail threshold, which pads the sum."""
-    work = term.precision
-    thresh = Q(1, 1 << (work.bits + 4))
-    total = Enclosure.point(0, work)
-    k = 1
-    while term.mag_ub() >= thresh:
-        total = total + term
-        term = -(term * x2) / ((2 * k + offset) * (2 * k + offset + 1))
-        k += 1
-    return _pad(total, term.mag_ub())
-
-
 def _arc_minus_sin(x: Enclosure) -> Enclosure:
     """x - sin x by its alternating series; requires |x| <= 1/4."""
-    x2 = x.square()
-    return _series_tail(x * x2 / 6, x2, 2)
+    return _alternating_series(
+        x, x * x.square() / 6, x.precision, 200, "x - sin x",
+        divisor=lambda k: (2 * k + 2) * (2 * k + 3),
+    )
 
 
 def _one_minus_cos(y: Enclosure) -> Enclosure:
     """1 - cos y by its alternating series; requires |y| <= 1/8."""
-    y2 = y.square()
-    return _series_tail(y2 / 2, y2, 1)
+    return _alternating_series(
+        y, y.square() / 2, y.precision, 200, "1 - cos y",
+        divisor=lambda k: (2 * k + 1) * (2 * k + 2),
+    )
+
+
+def _xbar(r: Enclosure, sh: Enclosure, ams: Enclosure) -> Enclosure:
+    """(4/3) r sin^3(theta/2) / (theta - sin theta), from sh = sin(theta/2)
+    and ams = theta - sin theta."""
+    return r * sh * sh.square() * Q(4, 3) / ams
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,14 +106,6 @@ class SegmentGeometry:
     xbar: Enclosure
 
 
-def _xbar_core(r: Enclosure, theta: Enclosure) -> Enclosure:
-    half = theta / 2
-    sh = enc_sin(half)
-    small = theta.mag_ub() < _SERIES_BELOW
-    ams = _arc_minus_sin(theta) if small else theta - enc_sin(theta)
-    return r * sh * sh.square() * Q(4, 3) / ams
-
-
 def barycenter_exact(
     r: Enclosure | Q | int, theta: Enclosure | Q | int, precision: Precision | None = None
 ) -> Enclosure:
@@ -116,24 +114,17 @@ def barycenter_exact(
     Evaluates (4/3) r sin^3(theta/2) / (theta - sin theta); the denominator
     switches to its series below theta = 1/4 to keep the quotient tight.
     """
-    r, theta, precision = _lift_segment(r, theta, precision)
-    if theta.lo < _ILL_BELOW:
-        raise IllConditioned(f"theta below {_ILL_BELOW}: barycenter quotient degenerates")
-    work = precision.raised(16)
-    out = _xbar_core(r.at_precision(work), theta.at_precision(work))
-    return out.rounded(precision)
+    rw, tw, precision = _lift_segment(r, theta, precision)
+    small = tw.mag_ub() < _SERIES_BELOW
+    ams = _arc_minus_sin(tw) if small else tw - enc_sin(tw)
+    return _xbar(rw, enc_sin(tw / 2), ams).rounded(precision)
 
 
 def segment(
     r: Enclosure | Q | int, theta: Enclosure | Q | int, precision: Precision | None = None
 ) -> SegmentGeometry:
     """Populate every SegmentGeometry field at the requested precision."""
-    r, theta, precision = _lift_segment(r, theta, precision)
-    if theta.lo < _ILL_BELOW:
-        raise IllConditioned(f"theta below {_ILL_BELOW}: barycenter quotient degenerates")
-    work = precision.raised(16)
-    rw = r.at_precision(work)
-    tw = theta.at_precision(work)
+    rw, tw, precision = _lift_segment(r, theta, precision)
     half = tw / 2
     sh = enc_sin(half)
     ch = enc_cos(half)
@@ -146,7 +137,7 @@ def segment(
     sigma = rw.square() * ams / 2
     delta = a * b / 2
     tangent = rw.square() * sh.square() * sh / ch if ch.lo > 0 else None
-    xbar = rw * sh * sh.square() * Q(4, 3) / ams
+    xbar = _xbar(rw, sh, ams)
     xi = rw - xbar
     rnd = lambda e: e.rounded(precision)
     return SegmentGeometry(
@@ -181,10 +172,9 @@ def barycenter_oracle(
     """
     if panels < 2 or panels % 2:
         raise ValueError(f"panels must be even and >= 2, got {panels}")
-    r, theta, precision = _lift_segment(r, theta, precision)
-    work = precision.raised(16)
-    rw = r.at_precision(work)
-    tau = theta.at_precision(work) / 2
+    rw, tw, precision = _lift_segment(r, theta, precision, conditioned=False)
+    work = rw.precision
+    tau = tw / 2
     h = tau / panels
     s_h = enc_sin(h)
     c_h = enc_cos(h)
@@ -224,10 +214,10 @@ def balance_residual(g: SegmentGeometry) -> Enclosure:
 
 
 def balance_check(g: SegmentGeometry) -> Verdict:
-    """Balanced when the lever residual encloses 0; margin is its width."""
+    """Balanced when the lever residual encloses 0; margin is the distance
+    from 0 to the nearer endpoint of the residual, or on FAIL to the residual."""
     residual = balance_residual(g)
-    outcome = Outcome.PASS if residual.contains_zero() else Outcome.FAIL
-    return Verdict("balance", outcome, residual.width, f"residual in {residual}")
+    return contains_value("balance", residual, 0, f"residual in {residual}")
 
 
 def barycentric_equation_ratio(g: SegmentGeometry) -> Enclosure:

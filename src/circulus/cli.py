@@ -40,7 +40,7 @@ from .exact import (
     pi_reference,
     render,
 )
-from .verdict import Outcome, Verdict
+from .verdict import Outcome, Verdict, overlap
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -242,18 +242,10 @@ def _cmd_barycenter(cfg: RunConfig) -> tuple[int, str]:
         raise UsageFault(f"--samples must be a positive even panel count, got {panels}")
     exact = barycenter.barycenter_exact(r, theta, p)
     oracle = barycenter.barycenter_oracle(r, theta, p, panels=panels)
-    if exact.overlaps(oracle):
-        depth = min(exact.hi, oracle.hi) - max(exact.lo, oracle.lo)
-        verdict = Verdict("exact-oracle-overlap", Outcome.PASS, depth,
-                          "independent quadrature agrees")
-    else:
-        gap = max(exact.lo, oracle.lo) - min(exact.hi, oracle.hi)
-        verdict = Verdict("exact-oracle-overlap", Outcome.FAIL, -gap,
-                          "enclosures disjoint")
     return _emit(cfg, [
         ("barycenter:exact", 0, "two_sided", exact),
         ("barycenter:oracle", panels, "two_sided", oracle),
-        verdict,
+        overlap("exact-oracle-overlap", exact, oracle, "independent quadrature agrees"),
     ])
 
 

@@ -36,4 +36,6 @@ class InsufficientSamples(CirculusError):
 
 
 class IndeterminateError(CirculusError):
-    """Raised when an enclosure is too wide to decide a required comparison."""
+    """Raised when a required result cannot be certified at the working
+    precision: an enclosure too wide to decide a comparison, or a series
+    that does not converge within its term cap."""

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import (
     DivisionByIntervalContainingZero,
     DomainError,
+    IndeterminateError,
     NegativeRadicand,
     PoleProximity,
 )
@@ -290,7 +291,7 @@ def _alternating_series(
 
     The term magnitudes must decrease, so the first omitted term bounds the
     remainder.  Summing stops at the first term below the tail threshold,
-    or fails after cap - 1 terms.
+    or raises IndeterminateError after cap - 1 terms.
     """
     x2 = x.square()
     power = total = first
@@ -304,7 +305,7 @@ def _alternating_series(
         if bound < thresh:
             return Enclosure(total.lo - bound, total.hi + bound, total.precision)
         total = total + term
-    raise ArithmeticError(f"{name} series failed to converge")
+    raise IndeterminateError(f"{name} series failed to converge at {work.bits} bits")
 
 
 def _sin_series(x: Enclosure, work: Precision) -> Enclosure:
@@ -381,7 +382,9 @@ def enc_arctan(x: Enclosure, precision: Precision | None = None) -> Enclosure:
         y = y / (Enclosure.point(_ONE, work) + enc_sqrt(y.square() + 1))
         doublings += 1
         if doublings > 200:
-            raise ArithmeticError("arctangent reduction failed to contract")
+            raise IndeterminateError(
+                f"arctangent reduction failed to contract at {work.bits} bits"
+            )
     out = _arctan_series(y, work)
     if doublings:
         out = out * (1 << doublings)

@@ -1,8 +1,11 @@
 """Three-valued verdicts for inequality checks between enclosures.
 
-A strict inequality only passes when the enclosures are separated by at
-least one grid ulp at the working precision; overlap is reported as
-indeterminate, never as a pass.
+This module is the one place where a comparison of enclosures becomes an
+outcome and a margin.  A strict inequality only passes when the enclosures
+are separated by at least one grid ulp at the working precision; overlap
+is reported as indeterminate, never as a pass.  The margin is always a
+nonnegative size: on PASS the room to spare, on FAIL the size of the miss,
+and None when the outcome is INDETERMINATE.
 """
 
 from __future__ import annotations
@@ -57,15 +60,12 @@ def strict_between(
     name: str, low: Enclosure, mid: Enclosure, high: Enclosure, detail: str = ""
 ) -> Verdict:
     """Verdict on low < mid < high as a single named check."""
-    left = strict_less(name, low, mid)
-    right = strict_less(name, mid, high)
+    left = strict_less(name, low, mid, detail)
+    right = strict_less(name, mid, high, detail)
     if left.passed and right.passed:
-        margin = min(left.margin, right.margin)
-        return Verdict(name, Outcome.PASS, margin, detail)
-    for part in (left, right):
-        if part.outcome is Outcome.FAIL:
-            return Verdict(name, Outcome.FAIL, part.margin, detail)
-    return Verdict(name, Outcome.INDETERMINATE, None, detail)
+        return Verdict(name, Outcome.PASS, min(left.margin, right.margin), detail)
+    failed = [part for part in (left, right) if part.outcome is Outcome.FAIL]
+    return failed[0] if failed else Verdict(name, Outcome.INDETERMINATE, None, detail)
 
 
 def contains_value(name: str, enc: Enclosure, value, detail: str = "") -> Verdict:
@@ -77,8 +77,9 @@ def contains_value(name: str, enc: Enclosure, value, detail: str = "") -> Verdic
 
 
 def overlap(name: str, a: Enclosure, b: Enclosure, detail: str = "") -> Verdict:
-    """Verdict on the two enclosures sharing at least one value."""
-    if a.overlaps(b):
-        return Verdict(name, Outcome.PASS, a.width + b.width, detail)
-    miss = b.lo - a.hi if a.hi < b.lo else a.lo - b.hi
-    return Verdict(name, Outcome.FAIL, miss, detail)
+    """Verdict on the two enclosures sharing at least one value; margin is
+    the depth of the overlap, or on FAIL the gap between them."""
+    depth = min(a.hi, b.hi) - max(a.lo, b.lo)
+    if depth >= 0:
+        return Verdict(name, Outcome.PASS, depth, detail)
+    return Verdict(name, Outcome.FAIL, -depth, "enclosures disjoint")

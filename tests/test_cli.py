@@ -1,6 +1,10 @@
 """Command-line surface: row schema, formats, exit codes, verify battery."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,25 @@ def test_starved_precision_exits_indeterminate(capsys, monkeypatch):
         "order", "--method", "huygens-vii", "--doublings", "12", "--digits", "4",
     ])
     assert code == EXIT_INDETERMINATE
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "--method", "combined", "--seed", "30", "--doublings", "4", "--digits", "600"],
+    ["segment", "--theta", "pi/2", "--digits", "700"],
+])
+def test_high_digit_runs_certify_or_exit_indeterminate(args):
+    # these runs need more series terms than a fixed cap allows; they must
+    # either certify their digits or say why not, never end in a traceback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("CIRCULUS_PRECISION_BITS", None)
+    done = subprocess.run([sys.executable, "-m", "circulus.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert "Traceback" not in done.stderr
+    assert done.returncode in (EXIT_OK, EXIT_INDETERMINATE), done.stderr
+    if done.returncode == EXIT_INDETERMINATE:
+        assert done.stderr.startswith("indeterminate:"), done.stderr
 
 
 def test_env_override_tightens_enclosures(capsys, monkeypatch):

@@ -298,7 +298,7 @@ def test_library_results_are_pinned(group) -> None:
     actual = library_group(group)
     assert list(actual) == list(expected)
     mismatched = [key for key in expected if actual[key] != expected[key]]
-    assert not mismatched, f"{len(mismatched)} changed, first: {mismatched[0]}"
+    assert not mismatched, f"{len(mismatched)} changed: " + "; ".join(mismatched)
 
 
 def test_corpus_covers_every_cli_case() -> None:

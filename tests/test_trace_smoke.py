@@ -19,7 +19,8 @@ MARKER = "perfbench-trace "
 
 
 def _run(*command: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     env.pop("CIRCULUS_PRECISION_BITS", None)
     return subprocess.run(
         [sys.executable, *command], cwd=ROOT, env=env,
