@@ -1,5 +1,6 @@
 """Command-line surface: row schema, formats, exit codes, verify battery."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -220,6 +221,25 @@ def test_high_digit_runs_certify_or_exit_indeterminate(args):
     assert done.returncode in (EXIT_OK, EXIT_INDETERMINATE), done.stderr
     if done.returncode == EXIT_INDETERMINATE:
         assert done.stderr.startswith("indeterminate:"), done.stderr
+
+
+# SHA-256 of the stdout of `ladder --doublings 20 --digits 1000 --seed 6`;
+# the golden corpus stops short of 1000-digit ladders
+LADDER_1000_SHA256 = {
+    "csv": "275f69fec7f231427997bc5b76bc05fa895c82cc1c76fb06923d0f638d491a1d",
+    "json": "b27f7017a0794987467588d9dca8af1b49b1c0fdbf3f2aad6a0d96827cde4fa5",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LADDER_1000_SHA256))
+def test_ladder_1000_digits_is_pinned(capsys, monkeypatch, fmt):
+    monkeypatch.delenv("CIRCULUS_PRECISION_BITS", raising=False)
+    code, out, _ = run(capsys, [
+        "ladder", "--doublings", "20", "--digits", "1000", "--seed", "6",
+        "--format", fmt,
+    ])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == LADDER_1000_SHA256[fmt]
 
 
 def test_env_override_tightens_enclosures(capsys, monkeypatch):
