@@ -545,14 +545,28 @@ def render(enc: Enclosure, digits: int) -> str:
 
 
 def correct_digits(enc: Enclosure) -> int:
-    """Decimal places at which both endpoints truncate identically."""
+    """Decimal places at which both endpoints truncate identically.
+
+    The count is the largest m in 1..cap with floor(lo*10^m) ==
+    floor(hi*10^m), or 0 if there is none, where cap = max(1,
+    floor(0.301*bits)).  floor rounds toward minus infinity, also for
+    negative endpoints.
+
+    Disagreement is monotone in m because lo <= hi: if the truncations
+    differ at place m, some integer N has lo*10^m < N <= hi*10^m, so 10N
+    lies in (lo*10^(m+1), hi*10^(m+1)] and they differ at every later place
+    too.  The places that agree therefore form a prefix 1..m, and a
+    bisection over [0, cap] finds m in about log2(cap+1) probes.
+    """
     cap = max(1, enc.precision.bits * 301 // 1000)
     lo_n, lo_d = enc.lo.numerator, enc.lo.denominator
     hi_n, hi_d = enc.hi.numerator, enc.hi.denominator
-    k = 0
-    while k < cap:
-        s = 10 ** (k + 1)
-        if (lo_n * s) // lo_d != (hi_n * s) // hi_d:
-            break
-        k += 1
-    return k
+    agree, differ = 0, cap + 1
+    while differ - agree > 1:
+        m = (agree + differ) // 2
+        s = 10**m
+        if (lo_n * s) // lo_d == (hi_n * s) // hi_d:
+            agree = m
+        else:
+            differ = m
+    return agree

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -234,12 +235,17 @@ LADDER_1000_SHA256 = {
 @pytest.mark.parametrize("fmt", sorted(LADDER_1000_SHA256))
 def test_ladder_1000_digits_is_pinned(capsys, monkeypatch, fmt):
     monkeypatch.delenv("CIRCULUS_PRECISION_BITS", raising=False)
+    start = time.perf_counter()
     code, out, _ = run(capsys, [
         "ladder", "--doublings", "20", "--digits", "1000", "--seed", "6",
         "--format", fmt,
     ])
+    elapsed = time.perf_counter() - start
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == LADDER_1000_SHA256[fmt]
+    if fmt == "csv":
+        # about 0.85 s; a place-by-place correct_digits scan takes about 6.5 s
+        assert elapsed < 3.0, f"1000-digit csv ladder took {elapsed:.2f} s"
 
 
 def test_env_override_tightens_enclosures(capsys, monkeypatch):
