@@ -244,7 +244,8 @@ def test_ladder_1000_digits_is_pinned(capsys, monkeypatch, fmt):
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == LADDER_1000_SHA256[fmt]
     if fmt == "csv":
-        # about 0.85 s; a place-by-place correct_digits scan takes about 6.5 s
+        # a place-by-place correct_digits scan takes twice this budget; the
+        # bisection takes about a quarter of it
         assert elapsed < 3.0, f"1000-digit csv ladder took {elapsed:.2f} s"
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -324,18 +325,18 @@ def test_correct_digits_counts_shared_places() -> None:
     assert correct_digits(pi_reference(P128)) >= 36
 
 
-def _cap(enc: Enclosure) -> int:
-    return max(1, enc.precision.bits * 301 // 1000)
+def _cap(bits: int) -> int:
+    return max(1, bits * 301 // 1000)
 
 
 def _truncations_differ(enc: Enclosure, m: int) -> bool:
     s = 10**m
-    return (enc.lo * s).__floor__() != (enc.hi * s).__floor__()
+    return math.floor(enc.lo * s) != math.floor(enc.hi * s)
 
 
 def _correct_digits_by_scan(enc: Enclosure) -> int:
     """Reference: scan the decimal places one at a time."""
-    cap = _cap(enc)
+    cap = _cap(enc.precision.bits)
     lo_n, lo_d = enc.lo.numerator, enc.lo.denominator
     hi_n, hi_d = enc.hi.numerator, enc.hi.denominator
     k = 0
@@ -351,7 +352,7 @@ def _correct_digits_by_scan(enc: Enclosure) -> int:
 def digit_enclosures(draw) -> Enclosure:
     """Enclosures at 8 to 3400 bits whose endpoints part anywhere up to the cap."""
     p = Precision(draw(st.integers(8, 3400) | st.integers(3000, 3400)))
-    cap = max(1, p.bits * 301 // 1000)
+    cap = _cap(p.bits)
     kind = draw(st.sampled_from(["spread", "straddle", "point", "agree-to-cap"]))
     if kind == "agree-to-cap":
         # both endpoints sit inside one cell of width 10^-(cap+3)
@@ -365,7 +366,7 @@ def digit_enclosures(draw) -> Enclosure:
     lo = Q(draw(st.integers(-(2**p.bits), 2**p.bits)), 2 ** draw(st.integers(0, p.bits)))
     if kind == "point":
         return Enclosure(lo, lo, p)
-    # widths from 10^6 down to 10^-(cap+6), so the count covers 0..cap
+    # widths from 10^12 down to 10^-(cap+12), so the count covers 0..cap
     width = Q(draw(st.integers(1, 10**12)), 10 ** draw(st.integers(0, cap + 12)))
     return Enclosure(lo, lo + width, p)
 
@@ -381,18 +382,19 @@ def test_correct_digits_matches_linear_scan(enc: Enclosure) -> None:
 def test_correct_digits_predicate_is_monotone(enc: Enclosure) -> None:
     # the bisection in correct_digits relies on this: once the truncations
     # differ at one place, they differ at every later place
-    differ = [_truncations_differ(enc, m) for m in range(_cap(enc) + 2)]
+    cap = _cap(enc.precision.bits)
+    differ = [_truncations_differ(enc, m) for m in range(cap + 2)]
     assert differ == sorted(differ)
-    assert correct_digits(enc) == min(
-        (m - 1 for m in range(1, _cap(enc) + 1) if differ[m]), default=_cap(enc)
-    )
+    agree = [m for m in range(1, cap + 1) if not differ[m]]
+    assert correct_digits(enc) == max(agree, default=0)
 
 
 def test_correct_digits_edge_enclosures() -> None:
     p = Precision(3400)
     assert correct_digits(Enclosure.point(Q(-7, 3), p)) == 1023
-    # floor semantics: -0.25 and -0.15 truncate to -0.3 and -0.2
-    assert correct_digits(Enclosure(Q("-0.25"), Q("-0.15"), P64)) == 0
+    # floor, not truncation toward zero: -0.1 and -0.05 both floor to -0.1
+    # at one place, and part at two
+    assert correct_digits(Enclosure(Q("-0.1"), Q("-0.05"), P64)) == 1
     assert correct_digits(Enclosure(Q("2.999"), Q("3.001"), P64)) == 0
     assert correct_digits(Enclosure(Q(-1, 10**30), Q(1, 10**30), P128)) == 0
     assert correct_digits(Enclosure(Q(0), Q(1, 10**30), P128)) == 29
