@@ -19,7 +19,7 @@ from .exact import (
     Enclosure,
     Precision,
     Q,
-    _alternating_series,
+    _sincos_tail,
     check_angle,
     enc_cos,
     enc_sin,
@@ -63,22 +63,6 @@ def _pad(value: Enclosure, amount: Q) -> Enclosure:
     return value + Enclosure.from_endpoints(-amount, amount, value.precision)
 
 
-def _arc_minus_sin(x: Enclosure) -> Enclosure:
-    """x - sin x by its alternating series; requires |x| <= 1/4."""
-    return _alternating_series(
-        x, x * x.square() / 6, x.precision, 200, "x - sin x",
-        divisor=lambda k: (2 * k + 2) * (2 * k + 3),
-    )
-
-
-def _one_minus_cos(y: Enclosure) -> Enclosure:
-    """1 - cos y by its alternating series; requires |y| <= 1/8."""
-    return _alternating_series(
-        y, y.square() / 2, y.precision, 200, "1 - cos y",
-        divisor=lambda k: (2 * k + 1) * (2 * k + 2),
-    )
-
-
 def _xbar(r: Enclosure, sh: Enclosure, ams: Enclosure) -> Enclosure:
     """(4/3) r sin^3(theta/2) / (theta - sin theta), from sh = sin(theta/2)
     and ams = theta - sin theta."""
@@ -116,7 +100,7 @@ def barycenter_exact(
     """
     rw, tw, precision = _lift_segment(r, theta, precision)
     small = tw.mag_ub() < _SERIES_BELOW
-    ams = _arc_minus_sin(tw) if small else tw - enc_sin(tw)
+    ams = _sincos_tail(tw, 3, tw.precision) if small else tw - enc_sin(tw)
     return _xbar(rw, enc_sin(tw / 2), ams).rounded(precision)
 
 
@@ -129,8 +113,8 @@ def segment(
     sh = enc_sin(half)
     ch = enc_cos(half)
     small = tw.mag_ub() < _SERIES_BELOW
-    omc = _one_minus_cos(half) if small else 1 - ch
-    ams = _arc_minus_sin(tw) if small else tw - sh * ch * 2
+    omc = _sincos_tail(half, 2, half.precision) if small else 1 - ch
+    ams = _sincos_tail(tw, 3, tw.precision) if small else tw - sh * ch * 2
     a = rw * omc
     b = rw * sh * 2
     c = rw * sh * ch * 2

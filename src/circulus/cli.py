@@ -48,6 +48,10 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
 
+# --digits maximum; its working precision caps CIRCULUS_PRECISION_BITS too
+MAX_DIGITS = 1000
+MAX_BITS = bits_for_digits(MAX_DIGITS)
+
 CSV_COLUMNS = ("method", "n", "side", "lo", "hi", "width", "correct_digits")
 
 LADDER_METHODS = tuple(m for m in Method if m not in (Method.SNELL, Method.COMBINED))
@@ -128,10 +132,14 @@ def _line(item, digits: int) -> str:
     return f"{label:<28} n={n:<7d} {side:<9} {render(enc, digits)}  [{lo}, {hi}]"
 
 
-def _worst_exit(outcomes: list[Outcome]) -> int:
-    if Outcome.FAIL in outcomes:
+def _worst_exit(checks: list[tuple[str, Outcome]]) -> int:
+    """Exit code decided by named check outcomes.  An undecided exit names
+    its checks on stderr, because csv and json rows carry no reason."""
+    if any(outcome is Outcome.FAIL for _, outcome in checks):
         return EXIT_FAIL
-    if Outcome.INDETERMINATE in outcomes:
+    undecided = [name for name, outcome in checks if outcome is Outcome.INDETERMINATE]
+    if undecided:
+        click.echo(f"indeterminate: undecided checks: {', '.join(undecided)}", err=True)
         return EXIT_INDETERMINATE
     return EXIT_OK
 
@@ -143,7 +151,7 @@ def _emit(cfg: RunConfig, items: list) -> tuple[int, str]:
     note (str) printed in plain format only, or a dict row printed in csv
     and json only.  The verdicts decide the exit code.
     """
-    code = _worst_exit([item.outcome for item in items if isinstance(item, Verdict)])
+    code = _worst_exit([(v.name, v.outcome) for v in items if isinstance(v, Verdict)])
     if cfg.fmt == "plain":
         lines = [_line(item, cfg.digits) for item in items if not isinstance(item, dict)]
     else:
@@ -654,7 +662,8 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
         f"verify: {outcomes.count(Outcome.PASS)} pass, {outcomes.count(Outcome.FAIL)} fail, "
         f"{outcomes.count(Outcome.INDETERMINATE)} indeterminate"
     )
-    return _worst_exit(outcomes), "".join(line + "\n" for line in lines)
+    checks = [(test_id, o) for (test_id, _), o in zip(_VERIFY_CHECKS, outcomes)]
+    return _worst_exit(checks), "".join(line + "\n" for line in lines)
 
 
 _COMMANDS = {
@@ -669,7 +678,7 @@ _COMMANDS = {
 
 
 def execute(cfg: RunConfig) -> tuple[int, str]:
-    """Pure dispatch: a RunConfig in, (exit code, output text) out."""
+    """A RunConfig in, (exit code, stdout text) out; see _worst_exit for stderr."""
     return _COMMANDS[cfg.command](cfg)
 
 
@@ -686,8 +695,8 @@ def _env_bits() -> int | None:
         raise UsageFault(
             f"CIRCULUS_PRECISION_BITS must be an integer, got {raw!r}"
         ) from None
-    if bits < 32:
-        raise UsageFault("CIRCULUS_PRECISION_BITS must be >= 32")
+    if not 32 <= bits <= MAX_BITS:
+        raise UsageFault(f"CIRCULUS_PRECISION_BITS must be between 32 and {MAX_BITS}")
     return bits
 
 
@@ -703,7 +712,7 @@ _OPTIONS = {
         ["--doublings"], type=click.IntRange(0, 40), default=d, show_default=True,
         help="Side-doubling steps to take.") for d in (4, 8)},
     "digits": click.Option(
-        ["--digits"], type=click.IntRange(4, 1000), default=10, show_default=True,
+        ["--digits"], type=click.IntRange(4, MAX_DIGITS), default=10, show_default=True,
         help="Requested decimal digits; sets the working precision."),
     "format": click.Option(
         ["--format", "fmt"], type=click.Choice(["plain", "csv", "json"]), default="plain",

@@ -283,20 +283,23 @@ _SERIES_GUARD = 16  # extra working bits inside every series evaluation
 
 
 def _alternating_series(
-    x: Enclosure, first: Enclosure, work: Precision, cap: int, name: str,
-    divisor=None, weight=None,
+    x: Enclosure, first: Enclosure, work: Precision, name: str, divisor=None, weight=None,
 ) -> Enclosure:
     """first + t_1 + t_2 + ... with t_k = p_k / weight(k), where p_0 = first
     and p_k = -p_{k-1} x^2 / divisor(k); a missing divisor or weight means 1.
 
-    The term magnitudes must decrease, so the first omitted term bounds the
-    remainder.  Summing stops at the first term below the tail threshold,
-    or raises IndeterminateError after cap - 1 terms.
+    Summing stops at the first term below 2^-(bits+4), which bounds the
+    remainder as the terms decrease.  Callers contract x so that |t_1| < 1
+    and |t_k/t_{k-1}| < 1/8: the sine family has |x| <= 9/8 and divisors of
+    at least 12 from k = 2, a ratio below 0.106; arctan has |x| <= 0.27 (1/5
+    and 1/239 for pi), a ratio below x^2 < 0.073.  Outward rounding moves
+    a ratio by 1 + O(2^-bits).  So |t_k| < 8^-(k-1), below the threshold
+    once 3(k-1) >= bits+4; the raise guards a caller that breaks this.
     """
     x2 = x.square()
     power = total = first
     thresh = Q(1, 1 << (work.bits + 4))
-    for k in range(1, cap):
+    for k in range(1, -(-(work.bits + 4) // 3) + 2):
         power = -(power * x2)
         if divisor is not None:
             power = power / divisor(k)
@@ -308,21 +311,22 @@ def _alternating_series(
     raise IndeterminateError(f"{name} series failed to converge at {work.bits} bits")
 
 
-def _sin_series(x: Enclosure, work: Precision) -> Enclosure:
-    # the terms decrease for |x| <= 9/8
-    return _alternating_series(x, x, work, 200, "sine", divisor=lambda k: (2 * k) * (2 * k + 1))
-
-
-def _cos_series(x: Enclosure, work: Precision) -> Enclosure:
-    one = Enclosure.point(_ONE, work)
+def _sincos_tail(x: Enclosure, s: int, work: Precision) -> Enclosure:
+    """cos x, sin x, 1 - cos x or x - sin x for s = 0, 1, 2, 3: the Taylor
+    series of cos x or sin x from its degree-s term on.  Requires |x| <= 9/8."""
+    if s < 2:
+        first = x if s else Enclosure.point(_ONE, work)
+    else:
+        first = x.square() / 2 if s == 2 else x * x.square() / 6
     return _alternating_series(
-        x, one, work, 200, "cosine", divisor=lambda k: (2 * k - 1) * (2 * k)
+        x, first, work, ("cosine", "sine", "1 - cos x", "x - sin x")[s],
+        divisor=lambda k: (2 * k + s - 1) * (2 * k + s),
     )
 
 
 def _arctan_series(x: Enclosure, work: Precision) -> Enclosure:
     # Requires |x| well below 1; callers reduce to |x| <= 0.27.
-    return _alternating_series(x, x, work, 400, "arctangent", weight=lambda k: 2 * k + 1)
+    return _alternating_series(x, x, work, "arctangent", weight=lambda k: 2 * k + 1)
 
 
 def _clamp_unit(e: Enclosure) -> Enclosure:
@@ -347,7 +351,7 @@ def _sin_quarters(x: Enclosure, precision: Precision | None, shift: int) -> Encl
     if y.mag_ub() > Q(9, 8):
         return Enclosure(Q(-1), _ONE, p)  # argument too wide to reduce
     q = (q + shift) % 4
-    out = _sin_series(y, work) if q % 2 == 0 else _cos_series(y, work)
+    out = _sincos_tail(y, 1 - q % 2, work)
     return _clamp_unit((out if q < 2 else -out).rounded(p))
 
 

@@ -250,6 +250,83 @@ def test_arctan_odd_symmetry(x: Q) -> None:
     assert pos.overlaps(-neg)
 
 
+# -- kernel oracle: mpmath at twice the working bits plus 64 ---------------
+
+# kernel -> enclosure of its value at x; pi ignores x
+ORACLE_KERNELS = {
+    "pi": lambda x, p: pi_reference(p),
+    "sqrt": lambda x, p: enc_sqrt(Enclosure.point(x, p)),
+    "sin": lambda x, p: enc_sin(Enclosure.point(x, p)),
+    "cos": lambda x, p: enc_cos(Enclosure.point(x, p)),
+    "tan": lambda x, p: enc_tan(Enclosure.point(x, p)),
+    "atan": lambda x, p: enc_arctan(Enclosure.point(x, p)),
+    "asin": lambda x, p: enc_arcsin(Enclosure.point(x, p)),
+}
+# fixed arguments away from the poles of tan: |x| > 1 takes sin, cos and
+# tan through quarter-turn reduction, and arctan and arcsin through halving
+ORACLE_ARGS = {"pi": Q(0), "sqrt": Q(2), "sin": Q(-12, 5), "cos": Q(-12, 5),
+               "tan": Q(-12, 5), "atan": Q(-9, 2), "asin": Q(9, 10)}
+
+
+@pytest.fixture(scope="module")
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def _mpf_value(v) -> Q:
+    man, exp = v.man_exp  # the magnitude's mantissa
+    return Q(man) * Q(2) ** exp * (-1 if v < 0 else 1)
+
+
+def _oracle_bracket(mpmath, name: str, x: Q, bits: int) -> tuple[Q, Q]:
+    """Bounds that the kernel's enclosure must meet.  mpmath.iv gives an
+    interval at 2*bits + 64 bits; it has no atan or asin, so those take the
+    mpf value at that precision, widened by 2^-(bits+32)."""
+    prec = 2 * bits + 64
+    with mpmath.workprec(prec):
+        arg = mpmath.mpf(x.numerator) / x.denominator
+        if name in ("atan", "asin"):
+            value = _mpf_value(getattr(mpmath, name)(arg))
+            tol = Q(1, 1 << (bits + 32))
+            return value - tol, value + tol
+        iv, saved = mpmath.iv, mpmath.iv.prec
+        iv.prec = prec
+        try:
+            enclosed = iv.mpf(x.numerator) / x.denominator  # contains x
+            out = +iv.pi if name == "pi" else getattr(iv, name)(enclosed)
+            return _mpf_value(mpmath.mpf(out.a)), _mpf_value(mpmath.mpf(out.b))
+        finally:
+            iv.prec = saved
+
+
+def _check_against_mpmath(mpmath, name: str, x: Q, bits: int) -> None:
+    enc = ORACLE_KERNELS[name](x, Precision(bits))
+    lo, hi = _oracle_bracket(mpmath, name, x, bits)
+    assert enc.lo <= hi and lo <= enc.hi, f"{name}({x}) at {bits} bits misses mpmath"
+    assert enc.width <= Q(8, 1 << bits) * max(1, enc.mag_ub()), f"{name}({x}) too wide"
+
+
+@pytest.mark.parametrize("bits", [64, 1024, 2048, 3400])
+@pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+def test_kernels_match_mpmath(mpmath, name: str, bits: int) -> None:
+    _check_against_mpmath(mpmath, name, ORACLE_ARGS[name], bits)
+
+
+@given(
+    name=st.sampled_from(sorted(ORACLE_KERNELS)),
+    x=st.fractions(min_value=Q(-3, 2), max_value=Q(3, 2), max_denominator=10**6),
+    bits=st.integers(min_value=64, max_value=512),
+)
+@settings(max_examples=80, deadline=None)
+def test_kernels_match_mpmath_on_random_rationals(mpmath, name: str, x: Q, bits: int) -> None:
+    # |x| <= 3/2 keeps tan away from its poles at +-pi/2
+    if name == "sqrt":
+        x = abs(x)
+    elif name == "asin":
+        x = x * Q(2, 3)
+    _check_against_mpmath(mpmath, name, x, bits)
+
+
 def _random_tree_value(rng: random.Random, depth: int, p: Precision):
     """Build a random expression, returning (enclosure at p, exact rational)."""
     if depth == 0 or rng.random() < 0.3:
