@@ -19,7 +19,7 @@ from .exact import (
     Enclosure,
     Precision,
     Q,
-    _sincos_tail,
+    _series,
     check_angle,
     enc_cos,
     enc_sin,
@@ -100,7 +100,7 @@ def barycenter_exact(
     """
     rw, tw, precision = _lift_segment(r, theta, precision)
     small = tw.mag_ub() < _SERIES_BELOW
-    ams = _sincos_tail(tw, 3, tw.precision) if small else tw - enc_sin(tw)
+    ams = _series(tw, 3, tw.precision) if small else tw - enc_sin(tw)
     return _xbar(rw, enc_sin(tw / 2), ams).rounded(precision)
 
 
@@ -113,8 +113,8 @@ def segment(
     sh = enc_sin(half)
     ch = enc_cos(half)
     small = tw.mag_ub() < _SERIES_BELOW
-    omc = _sincos_tail(half, 2, half.precision) if small else 1 - ch
-    ams = _sincos_tail(tw, 3, tw.precision) if small else tw - sh * ch * 2
+    omc = _series(half, 2, half.precision) if small else 1 - ch
+    ams = _series(tw, 3, tw.precision) if small else tw - sh * ch * 2
     a = rw * omc
     b = rw * sh * 2
     c = rw * sh * ch * 2

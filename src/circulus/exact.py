@@ -4,6 +4,15 @@ Endpoints are dyadic rationals kept to a stated number of significant
 bits; every operation rounds its result outward, so an enclosure always
 contains the exact real value it tracks.  Nothing here ever touches
 floating point.
+
+pi, arctan, sin, cos, 1 - cos and x - sin share one series kernel,
+_fixed_series.  At a rational point it sums the Taylor series on integers
+scaled by 2^w, with w set _FIXED_GUARD bits below the working grid of the
+leading term, and returns integer bounds L <= f 2^w <= H.  Each floor
+division moves a term by less than two units, none while the divisions are
+exact, and the alternating tail is at most the first omitted term, on its
+own side.  An interval argument is evaluated at two points, because on the
+contracted range each function is monotone in x or in |x|.
 """
 
 from __future__ import annotations
@@ -280,53 +289,79 @@ def enc_sqrt(x: Enclosure, precision: Precision | None = None) -> Enclosure:
 # -- trigonometric and inverse trigonometric functions -----------------
 
 _SERIES_GUARD = 16  # extra working bits inside every series evaluation
+_FIXED_GUARD = 40  # fixed-point bits kept below the working grid of a series
 
 
-def _alternating_series(
-    x: Enclosure, first: Enclosure, work: Precision, name: str, divisor=None, weight=None,
-) -> Enclosure:
-    """first + t_1 + t_2 + ... with t_k = p_k / weight(k), where p_0 = first
-    and p_k = -p_{k-1} x^2 / divisor(k); a missing divisor or weight means 1.
+def _fixed_series(num: int, den: int, s: int | None, w: int) -> tuple[int, int]:
+    """(L, H) with L <= f(x) 2^w <= H at x = num/den, where f is cos x,
+    sin x, 1 - cos x or x - sin x for s = 0, 1, 2, 3 (the Taylor series of
+    cos or sin from its degree-s term on), or arctan x for s = None.
 
-    Summing stops at the first term below 2^-(bits+4), which bounds the
-    remainder as the terms decrease.  Callers contract x so that |t_1| < 1
-    and |t_k/t_{k-1}| < 1/8: the sine family has |x| <= 9/8 and divisors of
-    at least 12 from k = 2, a ratio below 0.106; arctan has |x| <= 0.27 (1/5
-    and 1/239 for pi), a ratio below x^2 < 0.073.  Outward rounding moves
-    a ratio by 1 + O(2^-bits).  So |t_k| < 8^-(k-1), below the threshold
-    once 3(k-1) >= bits+4; the raise guards a caller that breaks this.
+    The terms T_0 = |x|^s/s! (|x| for arctan) and T_k = T_(k-1) r_k, with
+    r_k = x^2/((2k+s-1)(2k+s)) (x^2 (2k-1)/(2k+1) for arctan), are kept as
+    integers t_k scaled by 2^w and summed with alternating signs; an odd f
+    takes the sign of x last.  Each t_k is one floor division of t_(k-1) r_k,
+    so e_k = T_k - t_k < 1 + r_k e_(k-1), and e_k = 0 until a division leaves
+    a remainder.  The contraction checked on entry, |x| <= 9/8 for the sine
+    family and |x| <= 27/100 for arctan (pi uses 1/5 and 1/239), gives r_1 < 1
+    and r_k < 1/2 for k >= 2 (divisors of at least 12, or r_k < x^2 < 0.073),
+    so every e_k < 2.  A short added term can only leave the sum below f, a
+    short subtracted one above it.  Summing stops at the first t_K below
+    2^16, which callers place 24 bits below the working grid.  The T_k
+    decrease, so the alternating tail from T_K on has T_K's sign and at most
+    its size, t_K + e_K.  So each side of the sum gets e_k for every term of
+    its sign, and the tail on its own side: the bracket counts the floor
+    divisions, two units each, and the first omitted term.
     """
-    x2 = x.square()
-    power = total = first
-    thresh = Q(1, 1 << (work.bits + 4))
-    for k in range(1, -(-(work.bits + 4) // 3) + 2):
-        power = -(power * x2)
-        if divisor is not None:
-            power = power / divisor(k)
-        term = power if weight is None else power / weight(k)
-        bound = term.mag_ub()
-        if bound < thresh:
-            return Enclosure(total.lo - bound, total.hi + bound, total.precision)
-        total = total + term
-    raise IndeterminateError(f"{name} series failed to converge at {work.bits} bits")
-
-
-def _sincos_tail(x: Enclosure, s: int, work: Precision) -> Enclosure:
-    """cos x, sin x, 1 - cos x or x - sin x for s = 0, 1, 2, 3: the Taylor
-    series of cos x or sin x from its degree-s term on.  Requires |x| <= 9/8."""
-    if s < 2:
-        first = x if s else Enclosure.point(_ONE, work)
+    n = abs(num)
+    if n * (100 if s is None else 8) > den * (27 if s is None else 9):
+        raise IndeterminateError(f"series argument {num}/{den} is not contracted")
+    if s is None:
+        term, rem = divmod(n << w, den)
     else:
-        first = x.square() / 2 if s == 2 else x * x.square() / 6
-    return _alternating_series(
-        x, first, work, ("cosine", "sine", "1 - cos x", "x - sin x")[s],
-        divisor=lambda k: (2 * k + s - 1) * (2 * k + s),
-    )
+        term, rem = divmod(n**s << w, den**s * (1, 1, 2, 6)[s])
+    n2, d2 = n * n, den * den
+    total = k = 0
+    err = 2 if rem else 0  # bounds e_k
+    slack = [0, 0]  # how far f may sit above the sum, and below it
+    while term >> 16:
+        total += -term if k % 2 else term
+        slack[k % 2] += err
+        k += 1
+        if s is None:
+            term, rem = divmod(term * n2 * (2 * k - 1), d2 * (2 * k + 1))
+        else:
+            term, rem = divmod(term * n2, d2 * (2 * k + s - 1) * (2 * k + s))
+        if rem:
+            err = 2
+    slack[k % 2] += term + err
+    low, high = total - slack[1], total + slack[0]
+    return (-high, -low) if num < 0 and (s is None or s % 2) else (low, high)
 
 
-def _arctan_series(x: Enclosure, work: Precision) -> Enclosure:
-    # Requires |x| well below 1; callers reduce to |x| <= 0.27.
-    return _alternating_series(x, x, work, "arctangent", weight=lambda k: 2 * k + 1)
+def _fixed_bounds(v: Q, s: int | None, work: Precision) -> tuple[Q, Q]:
+    """Dyadic bounds on f(v); the scale 2^w sits _FIXED_GUARD bits below
+    the working grid of the leading term, so small v keep every bit."""
+    n, d = v.numerator, v.denominator
+    e = abs(n).bit_length() - d.bit_length()  # log2 |v| to within 1
+    w = work.bits + _FIXED_GUARD - (1 if s is None else s) * e
+    low, high = _fixed_series(n, d, s, w)
+    return Q(low, 1 << w), Q(high, 1 << w)
+
+
+def _series(x: Enclosure, s: int | None, work: Precision) -> Enclosure:
+    """cos x, sin x, 1 - cos x, x - sin x or arctan x for s = 0, 1, 2, 3 or
+    None, from _fixed_series at two points.  Requires |x| <= 9/8, or |x| <=
+    27/100 for arctan.  On that range sin, x - sin x and arctan increase,
+    and cos and 1 - cos are monotone in |x|, taking f(0) = 1 or 0 where x
+    straddles 0."""
+    a, b = x.lo, x.hi
+    if s == 0 or s == 2:
+        near = _ZERO if x.contains_zero() else min(abs(a), abs(b))
+        a, b = (near, x.mag_ub()) if s else (x.mag_ub(), near)
+    low = _fixed_bounds(a, s, work)
+    high = low if b == a else _fixed_bounds(b, s, work)
+    return Enclosure(low[0], high[1], work)
 
 
 def _clamp_unit(e: Enclosure) -> Enclosure:
@@ -351,7 +386,7 @@ def _sin_quarters(x: Enclosure, precision: Precision | None, shift: int) -> Encl
     if y.mag_ub() > Q(9, 8):
         return Enclosure(Q(-1), _ONE, p)  # argument too wide to reduce
     q = (q + shift) % 4
-    out = _sincos_tail(y, 1 - q % 2, work)
+    out = _series(y, 1 - q % 2, work)
     return _clamp_unit((out if q < 2 else -out).rounded(p))
 
 
@@ -389,7 +424,7 @@ def enc_arctan(x: Enclosure, precision: Precision | None = None) -> Enclosure:
             raise IndeterminateError(
                 f"arctangent reduction failed to contract at {work.bits} bits"
             )
-    out = _arctan_series(y, work)
+    out = _series(y, None, work)
     if doublings:
         out = out * (1 << doublings)
     return out.rounded(p)
@@ -419,31 +454,32 @@ def enc_arcsin(x: Enclosure, precision: Precision | None = None) -> Enclosure:
 
 # -- pi ----------------------------------------------------------------
 
-# (bits, tight enclosure), replaced in one assignment so that a reader
-# never sees an enclosure paired with another computation's bits
-_pi_cache: tuple[int, Enclosure | None] = (0, None)
+# the tight enclosure at the working bits it was computed at, replaced in
+# one assignment so that its bits always describe its own computation
+_pi_cache: Enclosure | None = None
 
 
 def pi_reference(precision: Precision) -> Enclosure:
-    """Machin-formula enclosure of pi: 16*arctan(1/5) - 4*arctan(1/239).
+    """Machin-formula enclosure of pi: 16*arctan(1/5) - 4*arctan(1/239),
+    both summed by _fixed_series at one scale, 32 + _FIXED_GUARD bits past
+    the request.
 
     Results at different precisions are coarsenings of one shared tight
     interval, so pi_reference(p) always encloses pi_reference(p + k).
     """
     global _pi_cache
-    bits, tight = _pi_cache
-    need = precision.bits
-    if bits < need:
-        work = Precision(need + 32)
-        a = _arctan_series(Enclosure.point(Q(1, 5), work), work)
-        b = _arctan_series(Enclosure.point(Q(1, 239), work), work)
-        fresh = a * 16 - b * 4
+    tight = _pi_cache
+    if tight is None or tight.precision.bits < precision.bits:
+        work = precision.raised(32)
+        w = work.bits + _FIXED_GUARD
+        (a, b), (c, d) = (_fixed_series(1, m, None, w) for m in (5, 239))
+        scale = 1 << w
+        fresh = Enclosure.from_endpoints(Q(16 * a - 4 * d, scale), Q(16 * b - 4 * c, scale), work)
         if tight is not None:
             # both intervals contain pi, so the intersection does too;
             # intersecting keeps every previously returned coarsening valid
             fresh = fresh.intersect(tight.at_precision(work))
-        tight = fresh
-        _pi_cache = (need, tight)
+        tight = _pi_cache = fresh
     return tight.rounded(precision)
 
 

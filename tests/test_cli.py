@@ -225,11 +225,15 @@ def test_undecided_verdicts_say_why_on_stderr(capsys):
                   "--digits", "600"], 5.0, id="compute-600"),
     pytest.param(["segment", "--theta", "pi/2", "--digits", "700"], 5.0, id="segment-700"),
     pytest.param(["compute", "--method", "combined", "--seed", "30", "--doublings", "4",
-                  "--digits", "1000", "--format", "csv"], 9.0, id="compute-1000"),
-    pytest.param(["segment", "--theta", "pi/2", "--digits", "1000", "--format", "csv"], 8.0,
+                  "--digits", "1000", "--format", "csv"], 1.0, id="compute-1000"),
+    pytest.param(["segment", "--theta", "pi/2", "--digits", "1000", "--format", "csv"], 1.0,
                  id="segment-1000"),
     pytest.param(["appendix-f", "--x", "0.453", "--digits", "700", "--format", "csv"], 15.0,
                  id="appendix-f-700"),
+    pytest.param(["appendix-f", "--x", "0.453", "--digits", "1000", "--format", "csv"], 1.5,
+                 id="appendix-f-1000"),
+    pytest.param(["barycenter", "--theta", "3pi/4", "--digits", "1000"], 10.0,
+                 id="barycenter-1000"),
 ])
 def test_high_digit_runs_certify(args, budget):
     # pi, sin, cos and arctan past the term counts that fixed series caps

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circulus import exact
 from circulus.errors import (
     DivisionByIntervalContainingZero,
     DomainError,
+    IndeterminateError,
     NegativeRadicand,
     PoleProximity,
 )
@@ -325,6 +327,161 @@ def test_kernels_match_mpmath_on_random_rationals(mpmath, name: str, x: Q, bits:
     elif name == "asin":
         x = x * Q(2, 3)
     _check_against_mpmath(mpmath, name, x, bits)
+
+
+# -- fixed-point series kernel against the interval Taylor reference -------
+
+
+def _reference_alternating_series(
+    x: Enclosure, first: Enclosure, work: Precision, divisor=None, weight=None,
+) -> Enclosure:
+    """The interval Taylor summation that the fixed-point kernel replaced:
+    first + t_1 + t_2 + ... with t_k = p_k / weight(k), where p_0 = first
+    and p_k = -p_(k-1) x^2 / divisor(k), stopping at the first term below
+    2^-(bits+4)."""
+    x2 = x.square()
+    power = total = first
+    thresh = Q(1, 1 << (work.bits + 4))
+    for k in range(1, -(-(work.bits + 4) // 3) + 2):
+        power = -(power * x2)
+        if divisor is not None:
+            power = power / divisor(k)
+        term = power if weight is None else power / weight(k)
+        bound = term.mag_ub()
+        if bound < thresh:
+            return Enclosure(total.lo - bound, total.hi + bound, total.precision)
+        total = total + term
+    raise IndeterminateError(f"series failed to converge at {work.bits} bits")
+
+
+def _reference_sincos_tail(x: Enclosure, s: int, work: Precision) -> Enclosure:
+    if s < 2:
+        first = x if s else Enclosure.point(1, work)
+    else:
+        first = x.square() / 2 if s == 2 else x * x.square() / 6
+    return _reference_alternating_series(
+        x, first, work, divisor=lambda k: (2 * k + s - 1) * (2 * k + s))
+
+
+def _reference_arctan_series(x: Enclosure, work: Precision) -> Enclosure:
+    return _reference_alternating_series(x, x, work, weight=lambda k: 2 * k + 1)
+
+
+def _reference_pi(precision: Precision) -> Enclosure:
+    work = precision.raised(32)
+    a = _reference_arctan_series(Enclosure.point(Q(1, 5), work), work)
+    b = _reference_arctan_series(Enclosure.point(Q(1, 239), work), work)
+    return (a * 16 - b * 4).rounded(precision)
+
+
+def _reference_series(x: Enclosure, s: int | None, work: Precision) -> Enclosure:
+    if s is None:
+        return _reference_arctan_series(x, work)
+    return _reference_sincos_tail(x, s, work)
+
+
+# kernel index: 0 to 3 for the sine family, None for arctan
+SERIES = {"cos": 0, "sin": 1, "1 - cos": 2, "x - sin": 3, "arctan": None}
+
+
+def _contraction(s: int | None) -> Q:
+    return Q(27, 100) if s is None else Q(9, 8)
+
+
+@st.composite
+def series_arguments(draw, limit: Q) -> Q:
+    """A signed rational with |x| from limit/2^60 up to the limit."""
+    scale = draw(st.fractions(min_value=Q(1, 2), max_value=1, max_denominator=10**6))
+    sign = draw(st.sampled_from([-1, 1]))
+    return sign * limit * scale / 2 ** draw(st.integers(0, 59))
+
+
+@st.composite
+def series_cases(draw):
+    """(kernel, argument, working precision): a point, a narrow interval, or
+    an interval of two independent ends, which may straddle 0."""
+    name = draw(st.sampled_from(sorted(SERIES) + ["pi"]))
+    work = Precision(draw(st.integers(8, 400) | st.integers(8, 3400)))
+    s = SERIES.get(name)
+    limit = _contraction(s)
+    a = draw(series_arguments(limit))
+    kind = draw(st.sampled_from(["point", "narrow", "ends"]))
+    if kind == "point":
+        b = a
+    elif kind == "narrow":
+        b = a * (1 - Q(1, 2 ** draw(st.integers(1, work.bits))))
+    else:
+        b = draw(series_arguments(limit))
+    return name, Enclosure(min(a, b), max(a, b), work)
+
+
+@given(case=series_cases())
+@settings(max_examples=120, deadline=None)
+def test_series_nest_in_interval_taylor_reference(case) -> None:
+    name, x = case
+    work = x.precision
+    if name == "pi":
+        assert _reference_pi(work).encloses(pi_reference(work))
+        return
+    s = SERIES[name]
+    new = exact._series(x, s, work)
+    # Compared on the working grid, which every caller rounds onto: for a
+    # tiny x the reference can stop before its first rounding, and its tail
+    # bound then sits closer to the value than the kernel's 2^-w scale.
+    assert _reference_series(x, s, work).rounded(work).encloses(new)
+
+
+def _mpmath_series(mpmath, s: int | None, x: Q):
+    arg = mpmath.mpf(x.numerator) / x.denominator
+    if s is None:
+        return mpmath.atan(arg)
+    return (mpmath.cos(arg), mpmath.sin(arg), 1 - mpmath.cos(arg), arg - mpmath.sin(arg))[s]
+
+
+@given(
+    name=st.sampled_from(sorted(SERIES)),
+    data=st.data(),
+    w=st.integers(8, 600) | st.integers(8, 3460),
+)
+@settings(max_examples=120, deadline=None)
+def test_fixed_series_error_bound_holds_against_mpmath(mpmath, name: str, data, w: int) -> None:
+    s = SERIES[name]
+    x = data.draw(series_arguments(_contraction(s)))
+    low, high = exact._fixed_series(x.numerator, x.denominator, s, w)
+    with mpmath.workprec(2 * w + 64):
+        value = _mpf_value(_mpmath_series(mpmath, s, x)) * 2**w
+    # the mpf value is within 2^-(2w+62) of f(x), far below one unit of 2^-w
+    slack = Q(1, 2**32)
+    assert low - slack <= value <= high + slack, f"{name}({x}) at w={w}"
+
+
+def test_fixed_series_guards_its_contraction() -> None:
+    assert 0 < exact._fixed_series(9, 8, 0, 64)[0]
+    assert exact._fixed_series(-27, 100, None, 64)[1] < 0
+    for num, den, s in ((10, 8, 0), (-10, 8, 3), (28, 100, None)):
+        with pytest.raises(IndeterminateError):
+            exact._fixed_series(num, den, s, 64)
+    # divisions that leave no remainder add no slack: 0 is exact
+    assert exact._fixed_series(0, 7, 0, 64) == (1 << 64, 1 << 64)
+    assert exact._fixed_series(0, 7, None, 64) == (0, 0)
+
+
+def test_pi_is_computed_once_for_a_sine_at_its_precision(monkeypatch) -> None:
+    calls = []
+    kernel = exact._fixed_series
+
+    def counted(num, den, s, w):
+        calls.append((num, den, s))
+        return kernel(num, den, s, w)
+
+    monkeypatch.setattr(exact, "_fixed_series", counted)
+    monkeypatch.setattr(exact, "_pi_cache", None)
+    pi_reference(Precision(3394))
+    out = enc_sin(Enclosure.point(Q(7, 5), Precision(3394)))
+    # pi's two arctangents, then cos at both ends of 7/5 - pi/2
+    assert calls[:2] == [(1, 5, None), (1, 239, None)]
+    assert [s for _, _, s in calls[2:]] == [0, 0]
+    assert out.width < Q(8, 1 << 3394)
 
 
 def _random_tree_value(rng: random.Random, depth: int, p: Precision):
