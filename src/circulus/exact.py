@@ -9,9 +9,9 @@ pi, arctan, sin, cos, 1 - cos and x - sin share one series kernel,
 _fixed_series.  At a rational point it sums the Taylor series on integers
 scaled by 2^w, with w set _FIXED_GUARD bits below the working grid of the
 leading term, and returns integer bounds L <= f 2^w <= H.  Each floor
-division moves a term by less than two units, none while the divisions are
-exact, and the alternating tail is at most the first omitted term, on its
-own side.  An interval argument is evaluated at two points, because on the
+division moves a term by at most two units, a bound carried from its
+remainder and none while the divisions are exact, and the alternating tail
+is at most the first omitted term, on its own side.  An interval argument is evaluated at two points, because on the
 contracted range each function is monotone in x or in |x|.
 """
 
@@ -300,18 +300,21 @@ def _fixed_series(num: int, den: int, s: int | None, w: int) -> tuple[int, int]:
     The terms T_0 = |x|^s/s! (|x| for arctan) and T_k = T_(k-1) r_k, with
     r_k = x^2/((2k+s-1)(2k+s)) (x^2 (2k-1)/(2k+1) for arctan), are kept as
     integers t_k scaled by 2^w and summed with alternating signs; an odd f
-    takes the sign of x last.  Each t_k is one floor division of t_(k-1) r_k,
-    so e_k = T_k - t_k < 1 + r_k e_(k-1), and e_k = 0 until a division leaves
-    a remainder.  The contraction checked on entry, |x| <= 9/8 for the sine
-    family and |x| <= 27/100 for arctan (pi uses 1/5 and 1/239), gives r_1 < 1
-    and r_k < 1/2 for k >= 2 (divisors of at least 12, or r_k < x^2 < 0.073),
-    so every e_k < 2.  A short added term can only leave the sum below f, a
-    short subtracted one above it.  Summing stops at the first t_K below
-    2^16, which callers place 24 bits below the working grid.  The T_k
-    decrease, so the alternating tail from T_K on has T_K's sign and at most
-    its size, t_K + e_K.  So each side of the sum gets e_k for every term of
-    its sign, and the tail on its own side: the bracket counts the floor
-    divisions, two units each, and the first omitted term.
+    takes the sign of x last.  Each t_k is one floor division of t_(k-1) g_k
+    by D_k, where r_k = g_k/D_k, with remainder q_k; so e_k = T_k - t_k =
+    (q_k + e_(k-1) g_k)/D_k, and the loop carries the integer bound E_k =
+    ceil((q_k + E_(k-1) g_k)/D_k) >= e_k, from E_0 = 1 (0 if t_0 is exact).
+    E_k = 0 until a division leaves a remainder.  The contraction checked on
+    entry, |x| <= 9/8 for the sine family and |x| <= 27/100 for arctan (pi
+    uses 1/5 and 1/239), gives r_1 < 1 and r_k < 1/2 for k >= 2 (divisors of
+    at least 12, or r_k < x^2 < 0.073), so every E_k <= 2.  A short added
+    term can only leave the sum below f, a short subtracted one above it.
+    Summing stops at the first t_K below 2^16, which callers place 24 bits
+    below the working grid.  The T_k decrease, so the alternating tail from
+    T_K on has T_K's sign and at most its size, t_K + E_K.  So each side of
+    the sum gets E_k for every term of its sign, and the tail on its own
+    side: the bracket counts the floor divisions, at most two units each,
+    and the first omitted term.
     """
     n = abs(num)
     if n * (100 if s is None else 8) > den * (27 if s is None else 9):
@@ -322,18 +325,19 @@ def _fixed_series(num: int, den: int, s: int | None, w: int) -> tuple[int, int]:
         term, rem = divmod(n**s << w, den**s * (1, 1, 2, 6)[s])
     n2, d2 = n * n, den * den
     total = k = 0
-    err = 2 if rem else 0  # bounds e_k
+    err = 1 if rem else 0  # bounds e_k
     slack = [0, 0]  # how far f may sit above the sum, and below it
     while term >> 16:
         total += -term if k % 2 else term
         slack[k % 2] += err
         k += 1
         if s is None:
-            term, rem = divmod(term * n2 * (2 * k - 1), d2 * (2 * k + 1))
+            grow, div = n2 * (2 * k - 1), d2 * (2 * k + 1)
         else:
-            term, rem = divmod(term * n2, d2 * (2 * k + s - 1) * (2 * k + s))
-        if rem:
-            err = 2
+            grow, div = n2, d2 * (2 * k + s - 1) * (2 * k + s)
+        term, rem = divmod(term * grow, div)
+        carry = rem + err * grow  # e_k <= carry / div
+        err = -(-carry // div)
     slack[k % 2] += term + err
     low, high = total - slack[1], total + slack[0]
     return (-high, -low) if num < 0 and (s is None or s % 2) else (low, high)

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circulus import exact
@@ -416,6 +416,9 @@ def series_cases(draw):
 
 
 @given(case=series_cases())
+# short dyadic ends: the reference's lower end is within one 2^-w unit of the value
+@example(case=(
+    "1 - cos", Enclosure(Q(-9, 2**27), Q(-9, 2**27) * (1 - Q(1, 2**54)), Precision(63))))
 @settings(max_examples=120, deadline=None)
 def test_series_nest_in_interval_taylor_reference(case) -> None:
     name, x = case
