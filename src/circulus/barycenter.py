@@ -30,7 +30,6 @@ from .exact import (
 from .polygon import seed
 from .verdict import Outcome, Verdict, contains_value, strict_between, strict_less
 
-_SERIES_BELOW = Q(1, 4)
 _ILL_BELOW = Q(1, 1000)
 
 
@@ -46,9 +45,7 @@ def _lift_segment(
 ) -> tuple[Enclosure, Enclosure, Precision]:
     """Lift (r, theta), the precision defaulting from theta, gate them, and
     return them at working bits together with the requested precision.
-
-    When conditioned, also refuse the thin segments where the closed-form
-    xbar quotient degenerates.
+    When conditioned, also refuse thin segments, where r - xbar loses bits.
     """
     theta, precision = lift(theta, precision)
     r, _ = lift(r, precision)
@@ -61,12 +58,6 @@ def _lift_segment(
 
 def _pad(value: Enclosure, amount: Q) -> Enclosure:
     return value + Enclosure.from_endpoints(-amount, amount, value.precision)
-
-
-def _xbar(r: Enclosure, sh: Enclosure, ams: Enclosure) -> Enclosure:
-    """(4/3) r sin^3(theta/2) / (theta - sin theta), from sh = sin(theta/2)
-    and ams = theta - sin theta."""
-    return r * sh * sh.square() * Q(4, 3) / ams
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,35 +84,29 @@ class SegmentGeometry:
 def barycenter_exact(
     r: Enclosure | Q | int, theta: Enclosure | Q | int, precision: Precision | None = None
 ) -> Enclosure:
-    """Distance xbar from the circle center to the segment barycenter.
-
-    Evaluates (4/3) r sin^3(theta/2) / (theta - sin theta); the denominator
-    switches to its series below theta = 1/4 to keep the quotient tight.
-    """
-    rw, tw, precision = _lift_segment(r, theta, precision)
-    small = tw.mag_ub() < _SERIES_BELOW
-    ams = _series(tw, 3, tw.precision) if small else tw - enc_sin(tw)
-    return _xbar(rw, enc_sin(tw / 2), ams).rounded(precision)
+    """Distance xbar from the circle center to the segment barycenter,
+    (4/3) r sin^3(theta/2) / (theta - sin theta): the xbar of segment."""
+    return segment(r, theta, precision).xbar
 
 
 def segment(
     r: Enclosure | Q | int, theta: Enclosure | Q | int, precision: Precision | None = None
 ) -> SegmentGeometry:
-    """Populate every SegmentGeometry field at the requested precision."""
+    """Populate every SegmentGeometry field at the requested precision.
+    1 - cos(theta/2) and theta - sin theta come from their own series, so
+    neither cancels at any angle."""
     rw, tw, precision = _lift_segment(r, theta, precision)
     half = tw / 2
     sh = enc_sin(half)
     ch = enc_cos(half)
-    small = tw.mag_ub() < _SERIES_BELOW
-    omc = _series(half, 2, half.precision) if small else 1 - ch
-    ams = _series(tw, 3, tw.precision) if small else tw - sh * ch * 2
-    a = rw * omc
+    ams = _series(tw, 3, tw.precision)
+    a = rw * _series(half, 2, half.precision)
     b = rw * sh * 2
     c = rw * sh * ch * 2
     sigma = rw.square() * ams / 2
     delta = a * b / 2
     tangent = rw.square() * sh.square() * sh / ch if ch.lo > 0 else None
-    xbar = _xbar(rw, sh, ams)
+    xbar = rw * sh * sh.square() * Q(4, 3) / ams
     xi = rw - xbar
     rnd = lambda e: e.rounded(precision)
     return SegmentGeometry(

@@ -11,8 +11,9 @@ scaled by 2^w, with w set _FIXED_GUARD bits below the working grid of the
 leading term, and returns integer bounds L <= f 2^w <= H.  Each floor
 division moves a term by at most two units, a bound carried from its
 remainder and none while the divisions are exact, and the alternating tail
-is at most the first omitted term, on its own side.  An interval argument is evaluated at two points, because on the
-contracted range each function is monotone in x or in |x|.
+is at most the first omitted term, on its own side.  An interval argument
+is evaluated at two points, because up to each series' limit the function
+is monotone in x or in |x|.
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def enc_sqrt(x: Enclosure, precision: Precision | None = None) -> Enclosure:
 
 _SERIES_GUARD = 16  # extra working bits inside every series evaluation
 _FIXED_GUARD = 40  # fixed-point bits kept below the working grid of a series
+# largest |x| by s, just past what callers pass: pi/4 after quarter turns, pi/2
+# and pi for half and full segment angles, 0.27 after halving; see _fixed_series
+_SERIES_LIMIT = {0: Q(9, 8), 1: Q(9, 8), 2: Q(8, 5), 3: Q(16, 5), None: Q(27, 100)}
 
 
 def _fixed_series(num: int, den: int, s: int | None, w: int) -> tuple[int, int]:
@@ -304,10 +308,12 @@ def _fixed_series(num: int, den: int, s: int | None, w: int) -> tuple[int, int]:
     by D_k, where r_k = g_k/D_k, with remainder q_k; so e_k = T_k - t_k =
     (q_k + e_(k-1) g_k)/D_k, and the loop carries the integer bound E_k =
     ceil((q_k + E_(k-1) g_k)/D_k) >= e_k, from E_0 = 1 (0 if t_0 is exact).
-    E_k = 0 until a division leaves a remainder.  The contraction checked on
-    entry, |x| <= 9/8 for the sine family and |x| <= 27/100 for arctan (pi
-    uses 1/5 and 1/239), gives r_1 < 1 and r_k < 1/2 for k >= 2 (divisors of
-    at least 12, or r_k < x^2 < 0.073), so every E_k <= 2.  A short added
+    E_k = 0 until a division leaves a remainder.  The limit |x| <=
+    _SERIES_LIMIT[s] checked on entry keeps r_1 < 1 and r_k < 1/2 for
+    k >= 2, so every E_k <= 2: cos and sin at 9/8 have r_1 <= 0.64 and
+    r_k <= x^2/12 < 0.11, 1 - cos at 8/5 has r_1 = x^2/12 < 0.22, x - sin at
+    16/5 has r_1 = x^2/20 < 0.52 and r_k <= x^2/42 < 0.25, and arctan at
+    27/100 (pi uses 1/5 and 1/239) has r_k < x^2 < 0.073.  A short added
     term can only leave the sum below f, a short subtracted one above it.
     Summing stops at the first t_K below 2^16, which callers place 24 bits
     below the working grid.  The T_k decrease, so the alternating tail from
@@ -317,7 +323,7 @@ def _fixed_series(num: int, den: int, s: int | None, w: int) -> tuple[int, int]:
     and the first omitted term.
     """
     n = abs(num)
-    if n * (100 if s is None else 8) > den * (27 if s is None else 9):
+    if n * _SERIES_LIMIT[s].denominator > den * _SERIES_LIMIT[s].numerator:
         raise IndeterminateError(f"series argument {num}/{den} is not contracted")
     if s is None:
         term, rem = divmod(n << w, den)
@@ -355,10 +361,10 @@ def _fixed_bounds(v: Q, s: int | None, work: Precision) -> tuple[Q, Q]:
 
 def _series(x: Enclosure, s: int | None, work: Precision) -> Enclosure:
     """cos x, sin x, 1 - cos x, x - sin x or arctan x for s = 0, 1, 2, 3 or
-    None, from _fixed_series at two points.  Requires |x| <= 9/8, or |x| <=
-    27/100 for arctan.  On that range sin, x - sin x and arctan increase,
-    and cos and 1 - cos are monotone in |x|, taking f(0) = 1 or 0 where x
-    straddles 0."""
+    None, from _fixed_series at two points, so f must be monotone up to
+    _SERIES_LIMIT[s]: sin increases to pi/2 > 9/8, arctan and x - sin x
+    (of derivative 1 - cos x) everywhere; cos and 1 - cos are monotone in
+    |x| to pi > 8/5, taking f(0) = 1 or 0 where x straddles 0."""
     a, b = x.lo, x.hi
     if s == 0 or s == 2:
         near = _ZERO if x.contains_zero() else min(abs(a), abs(b))
@@ -366,10 +372,6 @@ def _series(x: Enclosure, s: int | None, work: Precision) -> Enclosure:
     low = _fixed_bounds(a, s, work)
     high = low if b == a else _fixed_bounds(b, s, work)
     return Enclosure(low[0], high[1], work)
-
-
-def _clamp_unit(e: Enclosure) -> Enclosure:
-    return Enclosure(max(e.lo, Q(-1)), min(e.hi, _ONE), e.precision)
 
 
 def _reduce_quarter(x: Enclosure, work: Precision) -> tuple[Enclosure, int]:
@@ -387,11 +389,12 @@ def _sin_quarters(x: Enclosure, precision: Precision | None, shift: int) -> Encl
     p = precision or x.precision
     work = p.raised(_SERIES_GUARD)
     y, q = _reduce_quarter(x.at_precision(work), work)
-    if y.mag_ub() > Q(9, 8):
+    if y.mag_ub() > _SERIES_LIMIT[0]:
         return Enclosure(Q(-1), _ONE, p)  # argument too wide to reduce
     q = (q + shift) % 4
     out = _series(y, 1 - q % 2, work)
-    return _clamp_unit((out if q < 2 else -out).rounded(p))
+    out = (out if q < 2 else -out).rounded(p)
+    return Enclosure(max(out.lo, Q(-1)), min(out.hi, _ONE), p)
 
 
 def enc_sin(x: Enclosure, precision: Precision | None = None) -> Enclosure:
@@ -537,17 +540,17 @@ def decimal_string(x: Q, places: int, direction: str) -> str:
     return f"{sign}{a // scale}.{a % scale:0{places}d}"
 
 
+_LOG10_2 = Q("0.3010299956639811952137388947244930267681")  # truncated log10 2
+
+
 def _dec_exponent(x: Q) -> int:
-    """e such that 10**e <= |x| < 10**(e+1); x must be nonzero."""
+    """e such that 10**e <= |x| < 10**(e+1); x must be nonzero.  With 2**m
+    <= |x| < 2**(m+1) and L = log10 2 < 1, e is floor(m L) or one more, and
+    one comparison decides.  _LOG10_2 gives floor(m L) exactly while |m| <
+    2**40, where m L stays over 3e-13 from every integer."""
     x = abs(x)
-    e = 0
-    while x >= 10:
-        x /= 10
-        e += 1
-    while x < 1:
-        x *= 10
-        e -= 1
-    return e
+    e = math.floor(_mag_exponent(x) * _LOG10_2)
+    return e + 1 if x >= Q(10) ** (e + 1) else e
 
 
 def _strip(s: str) -> str:

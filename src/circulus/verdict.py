@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Enclosure, Q, ulp
+from .exact import Enclosure, Q, _dec_exponent, ulp
 
 
 class Outcome(enum.Enum):
@@ -36,19 +36,29 @@ class Verdict:
 
     def __str__(self) -> str:
         word = self.outcome.value.upper()
-        extra = f" margin={float(self.margin):.3e}" if self.margin is not None else ""
+        extra = f" margin={_scientific(self.margin)}" if self.margin is not None else ""
         tail = f" ({self.detail})" if self.detail else ""
         return f"{word:13s} {self.name}{extra}{tail}"
 
 
-def _min_bits(a: Enclosure, b: Enclosure) -> int:
-    return min(a.precision.bits, b.precision.bits)
+def _scientific(x: Fraction) -> str:
+    """x as d.ddde+XX, rounded half to even from the rational itself, so
+    that no margin underflows or overflows a float."""
+    if x == 0:
+        return "0.000e+00"
+    e = _dec_exponent(x)
+    digits = round(abs(x) * Q(10) ** (3 - e))  # half to even, in 1000..10000
+    if digits == 10000:
+        digits, e = 1000, e + 1
+    sign = "-" if x < 0 else ""
+    return f"{sign}{digits // 1000}.{digits % 1000:03d}e{e:+03d}"
 
 
 def strict_less(name: str, a: Enclosure, b: Enclosure, detail: str = "") -> Verdict:
-    """Verdict on a < b, demanding a one-ulp gap between the enclosures."""
+    """Verdict on a < b, demanding a gap of one ulp, at the working
+    precision, of the larger magnitude compared; the rule is scale-free."""
     gap = b.lo - a.hi
-    grid = ulp(max(abs(a.hi), abs(b.lo), Q(1)), _min_bits(a, b))
+    grid = ulp(max(abs(a.hi), abs(b.lo)), min(a.precision.bits, b.precision.bits))
     if gap >= grid:
         return Verdict(name, Outcome.PASS, gap, detail)
     if a.lo >= b.hi:

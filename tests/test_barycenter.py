@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circulus.barycenter import (
     balance_check,
@@ -213,3 +215,42 @@ def test_ratio_monotone_grid() -> None:
         assert ratio.lo > prev
         prev = ratio.hi
     assert prev < Q("1.5707963267948967")
+
+
+@pytest.fixture(scope="module")
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def _mpf_value(v) -> Q:
+    man, exp = v.man_exp  # the magnitude's mantissa
+    return Q(man) * Q(2) ** exp * (-1 if v < 0 else 1)
+
+
+@given(
+    # None stands for theta = pi, passed as a pi_reference enclosure
+    theta=st.fractions(min_value=Q(1, 1000), max_value=Q(314159, 100000),
+                       max_denominator=10**6) | st.none(),
+    r=st.sampled_from([Q(1), Q(5, 2), Q(3, 10**6)]),
+    bits=st.integers(48, 1024),
+)
+@settings(max_examples=60, deadline=None)
+def test_segment_matches_mpmath_closed_forms(mpmath, theta, r, bits) -> None:
+    p = Precision(bits)
+    g = segment(r, pi_reference(p) if theta is None else theta, p)
+    with mpmath.workprec(2 * bits + 128):
+        t = mpmath.pi if theta is None else mpmath.mpf(theta.numerator) / theta.denominator
+        radius = mpmath.mpf(r.numerator) / r.denominator
+        ams = t - mpmath.sin(t)
+        xbar = 4 * radius * mpmath.sin(t / 2) ** 3 / (3 * ams)
+        closed = {"a": radius * (1 - mpmath.cos(t / 2)), "Sigma": radius**2 * ams / 2,
+                  "xbar": xbar, "xi": radius - xbar}
+        closed = {name: _mpf_value(v) for name, v in closed.items()}
+    for name, value in closed.items():
+        enc = getattr(g, name)
+        tol = value * Q(1, 2 ** (2 * bits + 100))
+        assert enc.lo - tol <= value <= enc.hi + tol, f"{name} at theta={theta}, {bits} bits"
+        # one series route keeps a, Sigma and xbar to relative accuracy at
+        # every angle; xi = r - xbar cancels for thin segments
+        if name != "xi":
+            assert enc.width <= value * Q(16, 2**bits), f"{name} too wide at theta={theta}"

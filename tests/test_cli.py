@@ -207,17 +207,31 @@ def test_starved_precision_exits_indeterminate(capsys, monkeypatch):
     assert code == EXIT_INDETERMINATE
 
 
-def test_undecided_verdicts_say_why_on_stderr(capsys):
-    # a 1e-300 radius leaves five segment inequalities undecided
-    args = ["segment", "--theta", "0.5", "--radius", "1e-300"]
+def test_undecided_verdicts_say_why_on_stderr(capsys, monkeypatch):
+    # 32 bits cannot place xi of a 0.001 segment between a/2 and 3a/5
+    monkeypatch.setenv("CIRCULUS_PRECISION_BITS", "32")
+    args = ["segment", "--theta", "0.001"]
     for fmt in ("plain", "csv", "json"):
         code, out, err = run(capsys, [*args, "--format", fmt])
         assert code == EXIT_INDETERMINATE
-        assert err == ("indeterminate: undecided checks: theorem-xiv, hofmann, schuh, "
-                       "theorem-iv, lemma-vi\n")
+        assert err == "indeterminate: undecided checks: theorem-xiv, schuh, theorem-xv\n"
         # main prints what execute returns; the note goes to stderr alone
-        assert execute(RunConfig("segment", theta="0.5", radius="1e-300", fmt=fmt)) == (code, out)
+        cfg = RunConfig("segment", theta="0.001", precision_bits=32, fmt=fmt)
+        assert execute(cfg) == (code, out)
         assert capsys.readouterr().err == err
+
+
+def test_verdicts_do_not_depend_on_scale(capsys):
+    # every segment inequality is homogeneous in r, so a 1e-300 radius
+    # decides what a unit radius does; margins near 1e-604 still print
+    code, out, err = run(capsys, ["segment", "--theta", "0.5", "--radius", "1e-300"])
+    assert (code, err) == (EXIT_OK, "")
+    verdicts = [line.split() for line in out.splitlines() if "margin=" in line]
+    assert [v[:2] for v in verdicts] == [["PASS", name] for name in (
+        "theorem-xiv", "hofmann", "schuh", "theorem-xv", "theorem-iv", "lemma-vi")]
+    for v in verdicts:
+        mantissa = v[2].removeprefix("margin=").split("e")[0]
+        assert mantissa != "0.000", v
 
 
 @pytest.mark.parametrize("args,budget", [

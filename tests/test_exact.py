@@ -385,6 +385,10 @@ SERIES = {"cos": 0, "sin": 1, "1 - cos": 2, "x - sin": 3, "arctan": None}
 
 
 def _contraction(s: int | None) -> Q:
+    # The nesting test stays within 9/8 for the whole sine family, short of
+    # the kernel's limits of 8/5 and 16/5 for 1 - cos and x - sin: the
+    # reference's term cap, (bits + 4)/3 + 1 terms, assumes that each term
+    # contracts by about 1/8, which x - sin at 16/5 does not do at 8 bits.
     return Q(27, 100) if s is None else Q(9, 8)
 
 
@@ -449,7 +453,7 @@ def _mpmath_series(mpmath, s: int | None, x: Q):
 @settings(max_examples=120, deadline=None)
 def test_fixed_series_error_bound_holds_against_mpmath(mpmath, name: str, data, w: int) -> None:
     s = SERIES[name]
-    x = data.draw(series_arguments(_contraction(s)))
+    x = data.draw(series_arguments(exact._SERIES_LIMIT[s]))
     low, high = exact._fixed_series(x.numerator, x.denominator, s, w)
     with mpmath.workprec(2 * w + 64):
         value = _mpf_value(_mpmath_series(mpmath, s, x)) * 2**w
@@ -461,12 +465,43 @@ def test_fixed_series_error_bound_holds_against_mpmath(mpmath, name: str, data, 
 def test_fixed_series_guards_its_contraction() -> None:
     assert 0 < exact._fixed_series(9, 8, 0, 64)[0]
     assert exact._fixed_series(-27, 100, None, 64)[1] < 0
-    for num, den, s in ((10, 8, 0), (-10, 8, 3), (28, 100, None)):
-        with pytest.raises(IndeterminateError):
-            exact._fixed_series(num, den, s, 64)
+    # each series accepts |x| up to its own limit and refuses just past it
+    limits = {0: Q(9, 8), 1: Q(9, 8), 2: Q(8, 5), 3: Q(16, 5), None: Q(27, 100)}
+    assert exact._SERIES_LIMIT == limits
+    for s, limit in limits.items():
+        for x in (limit, -limit):
+            low, high = exact._fixed_series(x.numerator, x.denominator, s, 64)
+            assert low <= high
+            past = x * (1 + Q(1, 2**40))
+            with pytest.raises(IndeterminateError):
+                exact._fixed_series(past.numerator, past.denominator, s, 64)
     # divisions that leave no remainder add no slack: 0 is exact
     assert exact._fixed_series(0, 7, 0, 64) == (1 << 64, 1 << 64)
     assert exact._fixed_series(0, 7, None, 64) == (0, 0)
+
+
+@given(
+    name=st.sampled_from(["1 - cos", "x - sin"]),
+    data=st.data(),
+    bits=st.integers(8, 1024),
+)
+@settings(max_examples=60, deadline=None)
+def test_series_past_nine_eighths_encloses_both_ends(mpmath, name: str, data, bits: int) -> None:
+    # 1 - cos and x - sin serve segment angles past the quarter-turn range:
+    # an interval between 9/8 and the limit, on either side of 0
+    s = SERIES[name]
+    ends = st.fractions(min_value=Q(9, 8), max_value=exact._SERIES_LIMIT[s],
+                        max_denominator=2**bits)
+    a, b = sorted((data.draw(ends), data.draw(ends)))
+    if data.draw(st.booleans()):
+        a, b = -b, -a
+    enc = exact._series(Enclosure(a, b, Precision(bits)), s, Precision(bits))
+    tol = Q(1, 2 ** (2 * bits + 64))
+    with mpmath.workprec(2 * bits + 128):
+        values = [_mpf_value(_mpmath_series(mpmath, s, end)) for end in (a, b)]
+    for value in values:
+        assert enc.lo - tol <= value <= enc.hi + tol, f"{name}[{a}, {b}] at {bits} bits"
+    assert enc.width <= abs(values[1] - values[0]) + Q(8, 1 << bits) * enc.mag_ub()
 
 
 def test_pi_is_computed_once_for_a_sine_at_its_precision(monkeypatch) -> None:
@@ -635,3 +670,39 @@ def test_correct_digits_edge_enclosures() -> None:
     assert correct_digits(Enclosure(Q("2.999"), Q("3.001"), P64)) == 0
     assert correct_digits(Enclosure(Q(-1, 10**30), Q(1, 10**30), P128)) == 0
     assert correct_digits(Enclosure(Q(0), Q(1, 10**30), P128)) == 29
+
+
+def _dec_exponent_by_loop(x: Q) -> int:
+    """Reference: one division by ten per decade."""
+    x = abs(x)
+    e = 0
+    while x >= 10:
+        x /= 10
+        e += 1
+    while x < 1:
+        x *= 10
+        e -= 1
+    return e
+
+
+@st.composite
+def decimal_magnitudes(draw) -> Q:
+    """Nonzero rationals from about 1e-430 to 1e430, exact powers of ten
+    and their neighbours among them."""
+    power = Q(10) ** draw(st.integers(-430, 430))
+    kind = draw(st.sampled_from(["power", "below", "above", "ratio"]))
+    if kind == "power":
+        x = power
+    elif kind == "below":
+        x = power * (1 - Q(1, 2 ** draw(st.integers(1, 200))))
+    elif kind == "above":
+        x = power * (1 + Q(1, 2 ** draw(st.integers(1, 200))))
+    else:
+        x = power * Q(draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40)))
+    return draw(st.sampled_from([x, -x]))
+
+
+@given(x=decimal_magnitudes())
+@settings(max_examples=400, deadline=None)
+def test_dec_exponent_matches_the_decade_loop(x: Q) -> None:
+    assert exact._dec_exponent(x) == _dec_exponent_by_loop(x)

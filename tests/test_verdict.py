@@ -1,7 +1,14 @@
 """Verdict rules on small exact rationals: every outcome and its margin."""
 
 from circulus.exact import Enclosure, Precision, Q
-from circulus.verdict import Outcome, contains_value, overlap, strict_between, strict_less
+from circulus.verdict import (
+    Outcome,
+    Verdict,
+    contains_value,
+    overlap,
+    strict_between,
+    strict_less,
+)
 
 P = Precision(16)  # one ulp of values in [1, 2) is 2**-15
 
@@ -28,6 +35,27 @@ def test_strict_less_gap_below_one_ulp_is_indeterminate() -> None:
     assert v.outcome is Outcome.INDETERMINATE
     assert v.margin is None
     assert strict_less("lt", enc(1), enc(1 + Q(1, 2**15), 2)).passed
+
+
+def test_strict_less_grid_scales_with_the_values() -> None:
+    # the same comparison 2^1000 times smaller: one ulp of the values, not of 1
+    tiny = Q(1, 2**1000)
+    assert strict_less("lt", enc(tiny), enc(tiny * (1 + Q(1, 2**15)), 2 * tiny)).passed
+    v = strict_less("lt", enc(tiny), enc(tiny * (1 + Q(1, 2**20)), 2 * tiny))
+    assert v.outcome is Outcome.INDETERMINATE
+
+
+def test_margin_prints_from_the_rational() -> None:
+    def shown(margin) -> str:
+        return str(Verdict("v", Outcome.PASS, margin)).split("margin=")[1]
+
+    assert shown(Q(1, 10**700)) == "1.000e-700"  # a float would underflow to 0
+    assert shown(Q(10) ** 400 * 3) == "3.000e+400"
+    assert shown(Q(0)) == "0.000e+00"
+    assert shown(Q(10625, 10000)) == "1.062e+00"  # ties go to even
+    assert shown(Q(10635, 10000)) == "1.064e+00"
+    assert shown(Q(99996, 10**7)) == "1.000e-02"  # rounding carries into the exponent
+    assert shown(Q(-3, 2**20)) == f"{-3 / 2**20:.3e}"
 
 
 def test_strict_less_overlap_is_indeterminate() -> None:
