@@ -1,8 +1,13 @@
 """Outward-rounded interval arithmetic over exact rationals.
 
-Endpoints are dyadic rationals kept to a stated number of significant
-bits; every operation rounds its result outward, so an enclosure always
-contains the exact real value it tracks.  Nothing here ever touches
+An enclosure keeps its endpoints as integers over one shared denominator:
+lo = a/(u 2^k) and hi = b/(u 2^k), with u odd and k any integer.  Every
+operation rounds its result outward to a stated number of significant bits,
+so an enclosure always contains the exact real value it tracks, and every
+rounded result has u = 1: rounding a dyadic endpoint is one shift, and a
+quotient or an endpoint over u > 1 is one floor division.  u > 1 occurs
+only on exact points of non-dyadic rationals, such as 1/3, which stay
+exact.  lo, hi, width and mid are Fractions.  Nothing here ever touches
 floating point.
 
 pi, arctan, sin, cos, 1 - cos and x - sin share one series kernel,
@@ -32,7 +37,6 @@ from .errors import (
 
 Q = Fraction
 
-_ZERO = Q(0)
 _ONE = Q(1)
 
 
@@ -50,9 +54,9 @@ class Precision:
         return Precision(self.bits + extra)
 
 
-def _mag_exponent(x: Q) -> int:
-    """e such that 2**e <= |x| < 2**(e+1); x must be nonzero."""
-    n, d = abs(x.numerator), x.denominator
+def _mag(n: int, d: int) -> int:
+    """e such that 2**e <= |n|/d < 2**(e+1); n must be nonzero, d > 0."""
+    n = abs(n)
     e = n.bit_length() - d.bit_length()
     if e >= 0:
         if n < d << e:
@@ -62,15 +66,32 @@ def _mag_exponent(x: Q) -> int:
     return e
 
 
+def _round(n: int, d: int, bits: int, up: bool) -> tuple[int, int]:
+    """(m, s) such that m/2^s is the floor of n/d, or its ceiling when up, on
+    the grid of `bits` significant bits; d > 0.  For d = 1 that is a shift.
+    Otherwise s puts |n/d| 2^s in (2^(bits-1), 2^(bits+1)), one floor
+    division rounds it, and a result of bits + 1 bits is halved, as
+    floor(floor(y)/2) = floor(y/2); a floor that reaches -2^bits from above
+    is a point of both grids."""
+    if d == 1:
+        s = bits - n.bit_length()
+        if s >= 0:
+            return n, 0
+        return (-(-n >> -s) if up else n >> -s), s
+    s = bits - n.bit_length() + d.bit_length()
+    if up:
+        n = -n
+    q = (n << s if s >= 0 else n >> -s) // d
+    if q.bit_length() > bits:
+        q >>= 1
+        s -= 1
+    return (-q if up else q), s
+
+
 def round_down(x: Q, bits: int) -> Q:
     """Largest dyadic value with `bits` significant bits that is <= x."""
-    if x == 0:
-        return _ZERO
-    g = _mag_exponent(x) + 1 - bits  # grid spacing 2**g
-    n, d = x.numerator, x.denominator
-    if g >= 0:
-        return Q((n // (d << g)) * (1 << g))
-    return Q((n << -g) // d, 1 << -g)
+    m, s = _round(x.numerator, x.denominator, bits, False)
+    return Q(m, 1 << s) if s >= 0 else Q(m << -s)
 
 
 def round_up(x: Q, bits: int) -> Q:
@@ -82,28 +103,30 @@ def ulp(x: Q, bits: int) -> Q:
     """Grid spacing at x for the given precision (tiny positive for x = 0)."""
     if x == 0:
         return Q(1, 1 << (2 * bits))
-    return Q(2) ** (_mag_exponent(x) + 1 - bits)
+    return Q(2) ** (_mag(x.numerator, x.denominator) + 1 - bits)
 
 
-@dataclass(frozen=True, slots=True)
 class Enclosure:
-    """Closed interval [lo, hi] certified to contain an exact real value."""
+    """Closed interval [lo, hi] certified to contain an exact real value,
+    held as [a, b]/(u 2^k) with a <= b; equality is by value."""
 
-    lo: Q
-    hi: Q
-    precision: Precision
+    __slots__ = ("_a", "_b", "_k", "_u", "precision")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"inverted enclosure: {self.lo} > {self.hi}")
+    def __init__(self, lo: Q | int, hi: Q | int, precision: Precision) -> None:
+        lo, hi = Q(lo), Q(hi)
+        if lo > hi:
+            raise ValueError(f"inverted enclosure: {lo} > {hi}")
+        self._a, _, self._b, _, self._k, self._u = _align(_point(lo, precision),
+                                                          _point(hi, precision))
+        self.precision = precision
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_endpoints(cls, lo: Q, hi: Q, precision: Precision) -> "Enclosure":
         """Outward-round arbitrary rational endpoints onto the dyadic grid."""
-        b = precision.bits
-        return cls(round_down(Q(lo), b), round_up(Q(hi), b), precision)
+        e = cls(lo, hi, precision)
+        return _outward(e._a, e._b, e._k, e._u, precision)
 
     @classmethod
     def from_rational(cls, value: Q | int, precision: Precision) -> "Enclosure":
@@ -113,30 +136,43 @@ class Enclosure:
     @classmethod
     def point(cls, value: Q | int, precision: Precision) -> "Enclosure":
         """Exact degenerate interval; the value is kept verbatim."""
-        q = Q(value)
-        return cls(q, q, precision)
+        return _point(value if isinstance(value, (int, Fraction)) else Q(value), precision)
 
     # -- inspection ---------------------------------------------------
 
-    @property
-    def width(self) -> Q:
-        return self.hi - self.lo
+    def _ends(self) -> tuple[int, int, int]:
+        """(a, b, d) with lo = a/d, hi = b/d and d = u 2^max(k, 0)."""
+        k = self._k
+        if k >= 0:
+            return self._a, self._b, self._u << k
+        return self._a << -k, self._b << -k, self._u
 
-    @property
-    def mid(self) -> Q:
-        return (self.lo + self.hi) / 2
+    def _q(self, n: int) -> Q:
+        """n over the shared denominator, as a Fraction."""
+        k = self._k
+        return Q(n, self._u << k) if k >= 0 else Q(n << -k, self._u)
+
+    lo = property(lambda self: self._q(self._a))
+    hi = property(lambda self: self._q(self._b))
+    width = property(lambda self: self._q(self._b - self._a))
+    mid = property(lambda self: self._q(self._a + self._b) / 2)
 
     def mag_ub(self) -> Q:
-        return max(-self.lo, self.hi)
+        return self._q(max(-self._a, self._b))
+
+    def _mag_above(self, q: Q | int) -> bool:
+        """mag_ub() > q, decided on the integers."""
+        a, b, d = self._ends()
+        return max(-a, b) * q.denominator > d * q.numerator
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self._a == self._b
 
     def contains(self, value: Q | int) -> bool:
         return self.lo <= value <= self.hi
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        return self._a <= 0 <= self._b
 
     def encloses(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -144,23 +180,35 @@ class Enclosure:
     def overlaps(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
+    def __eq__(self, other):
+        if not isinstance(other, Enclosure):
+            return NotImplemented
+        a, b, c, d, _, _ = _align(self, other)
+        return a == c and b == d and self.precision == other.precision
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.precision))
+
+    def __repr__(self) -> str:
+        return f"Enclosure(lo={self.lo!r}, hi={self.hi!r}, precision={self.precision!r})"
+
     # -- precision plumbing -------------------------------------------
 
     def rounded(self, precision: Precision) -> "Enclosure":
-        b = precision.bits
-        return Enclosure(round_down(self.lo, b), round_up(self.hi, b), precision)
+        return _outward(self._a, self._b, self._k, self._u, precision)
 
     def at_precision(self, precision: Precision) -> "Enclosure":
         """Retag at a finer precision, or outward-round to a coarser one."""
         if precision.bits >= self.precision.bits:
-            return Enclosure(self.lo, self.hi, precision)
+            return _make(self._a, self._b, self._k, self._u, precision)
         return self.rounded(precision)
 
     def intersect(self, other: "Enclosure") -> "Enclosure":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        a, b, c, d, k, u = _align(self, other)
+        lo, hi = max(a, c), min(b, d)
         if lo > hi:
             raise ValueError("empty intersection of enclosures")
-        return Enclosure(lo, hi, self.precision)
+        return _make(lo, hi, k, u, self.precision)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -169,29 +217,27 @@ class Enclosure:
             return other
         if isinstance(other, (int, Fraction)):
             # exact lift: the scalar itself is never rounded
-            return Enclosure.point(Q(other), self.precision)
+            return Enclosure.point(other, self.precision)
         return None
-
-    def _out(self, lo: Q, hi: Q, other: "Enclosure") -> "Enclosure":
-        p = self.precision if self.precision.bits <= other.precision.bits else other.precision
-        return Enclosure(round_down(lo, p.bits), round_up(hi, p.bits), p)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._out(self.lo + o.lo, self.hi + o.hi, o)
+        a, b, c, d, k, u = _align(self, o)
+        return _outward(a + c, b + d, k, u, _coarser(self, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Enclosure(-self.hi, -self.lo, self.precision)
+        return _make(-self._b, -self._a, self._k, self._u, self.precision)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._out(self.lo - o.hi, self.hi - o.lo, o)
+        a, b, c, d, k, u = _align(self, o)
+        return _outward(a - d, b - c, k, u, _coarser(self, o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -203,8 +249,14 @@ class Enclosure:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return self._out(min(products), max(products), o)
+        # the four products share the denominator u v 2^(k + j)
+        a, b, c, d = self._a, self._b, o._a, o._b
+        if a >= 0 and c >= 0:
+            lo, hi = a * c, b * d
+        else:
+            products = (a * c, a * d, b * c, b * d)
+            lo, hi = min(products), max(products)
+        return _outward(lo, hi, self._k + o._k, self._u * o._u, _coarser(self, o))
 
     __rmul__ = __mul__
 
@@ -212,12 +264,21 @@ class Enclosure:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.lo <= 0 <= o.hi:
+        a, b, c, d = self._a, self._b, o._a, o._b
+        if c <= 0 <= d:
             raise DivisionByIntervalContainingZero(
                 f"denominator enclosure [{o.lo}, {o.hi}] contains zero"
             )
-        quotients = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return self._out(min(quotients), max(quotients), o)
+        if d < 0:  # x/y = (-x)/(-y)
+            a, b, c, d = -b, -a, -d, -c
+        # for y > 0, x/y is least at (a, d) if a >= 0, else at (a, c), and
+        # greatest at (b, c) if b >= 0, else at (b, d); an endpoint quotient
+        # is (a v)/(c u) 2^(j - k) for x over u 2^k and y over v 2^j
+        p = _coarser(self, o)
+        u, v, shift = self._u, o._u, self._k - o._k
+        lo, s = _round(a * v, (d if a >= 0 else c) * u, p.bits, False)
+        hi, t = _round(b * v, (c if b >= 0 else d) * u, p.bits, True)
+        return _pair(lo, s + shift, hi, t + shift, p)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -227,24 +288,82 @@ class Enclosure:
 
     def square(self) -> "Enclosure":
         """Tight interval square (accounts for the shared operand)."""
-        if self.lo >= 0:
-            lo, hi = self.lo * self.lo, self.hi * self.hi
-        elif self.hi <= 0:
-            lo, hi = self.hi * self.hi, self.lo * self.lo
+        a, b = self._a, self._b
+        if a >= 0:
+            lo, hi = a * a, b * b
+        elif b <= 0:
+            lo, hi = b * b, a * a
         else:
-            lo, hi = _ZERO, max(self.lo * self.lo, self.hi * self.hi)
-        return self._out(lo, hi, self)
+            lo, hi = 0, max(-a, b) ** 2
+        return _outward(lo, hi, 2 * self._k, self._u * self._u, self.precision)
 
     def __abs__(self) -> "Enclosure":
-        if self.lo >= 0:
+        if self._a >= 0:
             return self
-        if self.hi <= 0:
+        if self._b <= 0:
             return -self
-        return Enclosure(_ZERO, self.mag_ub(), self.precision)
+        return _make(0, max(-self._a, self._b), self._k, self._u, self.precision)
 
     def __str__(self) -> str:
         digits = max(1, self.precision.bits * 301 // 1000)
         return render(self, digits)
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, k: int, u: int, precision: Precision) -> Enclosure:
+    """[a, b]/(u 2^k), taken as it is."""
+    e = _new(Enclosure)
+    e._a, e._b, e._k, e._u, e.precision = a, b, k, u, precision
+    return e
+
+
+def _point(value: Q | int, precision: Precision) -> Enclosure:
+    n, d = value.numerator, value.denominator
+    k = (d & -d).bit_length() - 1
+    return _make(n, n, k, d >> k, precision)
+
+
+def _align(x: Enclosure, y: Enclosure) -> tuple[int, int, int, int, int, int]:
+    """(a, b, c, d, k, u): x = [a, b]/(u 2^k) and y = [c, d]/(u 2^k)."""
+    a, b, k, u = x._a, x._b, x._k, x._u
+    c, d, j, v = y._a, y._b, y._k, y._u
+    if u != v:
+        a, b, c, d, u = a * v, b * v, c * u, d * u, u * v
+    if k < j:
+        a, b, k = a << j - k, b << j - k, j
+    elif j < k:
+        c, d = c << k - j, d << k - j
+    return a, b, c, d, k, u
+
+
+def _coarser(x: Enclosure, y: Enclosure) -> Precision:
+    p, q = x.precision, y.precision
+    return p if p.bits <= q.bits else q
+
+
+def _pair(lo: int, e: int, hi: int, f: int, precision: Precision) -> Enclosure:
+    """[lo/2^e, hi/2^f] over the finer of the two scales; a zero endpoint
+    takes the other's."""
+    if not lo:
+        e = f
+    elif not hi:
+        f = e
+    if e < f:
+        lo, e = lo << f - e, f
+    elif f < e:
+        hi <<= e - f
+    return _make(lo, hi, e, 1, precision)
+
+
+def _outward(a: int, b: int, k: int, u: int, precision: Precision) -> Enclosure:
+    """[a, b]/(u 2^k) rounded outward to `precision.bits` significant bits;
+    quotients and square roots round their two ends with _round instead."""
+    bits = precision.bits
+    lo, s = _round(a, u, bits, False)
+    hi, t = _round(b, u, bits, True)
+    return _pair(lo, s + k, hi, t + k, precision)
 
 
 def lift(
@@ -264,27 +383,28 @@ def lift(
 # -- square root -------------------------------------------------------
 
 
-def _sqrt_bound(x: Q, bits: int, up: bool) -> Q:
-    """Dyadic lower bound on sqrt(x) for x >= 0, or upper bound when up."""
-    if x == 0:
-        return _ZERO
-    k = bits + 2 - _mag_exponent(x) // 2
-    n, d = x.numerator, x.denominator
+def _sqrt_bound(n: int, d: int, bits: int, up: bool) -> tuple[int, int]:
+    """(m, s) with m/2^s a lower bound on sqrt(n/d) with `bits` significant
+    bits, or an upper bound when up; n >= 0, d > 0."""
+    if n == 0:
+        return 0, 0
+    k = bits + 2 - _mag(n, d) // 2
     num, den = (n << 2 * k, d) if k >= 0 else (n, d << -2 * k)
     scaled = -(-num // den) if up else num // den  # ceil or floor of x * 4**k
     r = math.isqrt(scaled)
     if up and r * r < scaled:
         r += 1
-    val = Q(r, 1 << k) if k >= 0 else Q(r << -k)
-    return round_up(val, bits) if up else round_down(val, bits)
+    m, s = _round(r, 1, bits, up)
+    return m, s + k
 
 
 def enc_sqrt(x: Enclosure, precision: Precision | None = None) -> Enclosure:
     """Enclosure of the square root, via integer square roots of scaled values."""
-    if x.lo < 0:
+    a, b, d = x._ends()
+    if a < 0:
         raise NegativeRadicand(f"sqrt of enclosure with lo = {x.lo} < 0")
     p = precision or x.precision
-    return Enclosure(_sqrt_bound(x.lo, p.bits, False), _sqrt_bound(x.hi, p.bits, True), p)
+    return _pair(*_sqrt_bound(a, d, p.bits, False), *_sqrt_bound(b, d, p.bits, True), p)
 
 
 # -- trigonometric and inverse trigonometric functions -----------------
@@ -325,38 +445,50 @@ def _fixed_series(num: int, den: int, s: int | None, w: int) -> tuple[int, int]:
     n = abs(num)
     if n * _SERIES_LIMIT[s].denominator > den * _SERIES_LIMIT[s].numerator:
         raise IndeterminateError(f"series argument {num}/{den} is not contracted")
+    # den = o 2^t with o odd, so each division is a shift by a multiple of t
+    # and a floor division by the rest; the shifted-out bits rejoin the
+    # remainder, which the error bound needs
+    t = (den & -den).bit_length() - 1
+    o = den >> t
     if s is None:
-        term, rem = divmod(n << w, den)
+        top, j, first = n << w, t, o
     else:
-        term, rem = divmod(n**s << w, den**s * (1, 1, 2, 6)[s])
-    n2, d2 = n * n, den * den
+        top, j, first = n**s << w, s * t, o**s * (1, 1, 2, 6)[s]
+    term, rem = divmod(top >> j, first)
+    err = 1 if rem or top & ((1 << j) - 1) else 0  # bounds e_k
+    n2, o2, t2 = n * n, o * o, 2 * t
+    low_bits = (1 << t2) - 1
     total = k = 0
-    err = 1 if rem else 0  # bounds e_k
     slack = [0, 0]  # how far f may sit above the sum, and below it
     while term >> 16:
         total += -term if k % 2 else term
         slack[k % 2] += err
         k += 1
         if s is None:
-            grow, div = n2 * (2 * k - 1), d2 * (2 * k + 1)
+            grow, div = n2 * (2 * k - 1), o2 * (2 * k + 1)
         else:
-            grow, div = n2, d2 * (2 * k + s - 1) * (2 * k + s)
-        term, rem = divmod(term * grow, div)
-        carry = rem + err * grow  # e_k <= carry / div
-        err = -(-carry // div)
+            grow, div = n2, o2 * (2 * k + s - 1) * (2 * k + s)
+        x = term * grow
+        term, rem = divmod(x >> t2, div)  # D_k = div 2^t2
+        carry = (rem << t2) + (x & low_bits) + err * grow  # e_k <= carry / D_k
+        err = -((-carry >> t2) // div)
     slack[k % 2] += term + err
     low, high = total - slack[1], total + slack[0]
     return (-high, -low) if num < 0 and (s is None or s % 2) else (low, high)
 
 
-def _fixed_bounds(v: Q, s: int | None, work: Precision) -> tuple[Q, Q]:
-    """Dyadic bounds on f(v); the scale 2^w sits _FIXED_GUARD bits below
-    the working grid of the leading term, so small v keep every bit."""
-    n, d = v.numerator, v.denominator
-    e = abs(n).bit_length() - d.bit_length()  # log2 |v| to within 1
+def _fixed_bounds(n: int, d: int, s: int | None, work: Precision) -> tuple[int, int, int]:
+    """(L, H, w) with L <= f(n/d) 2^w <= H, d > 0; the scale 2^w sits
+    _FIXED_GUARD bits below the working grid of the leading term, so small
+    n/d keep every bit.  w is read from n/d in lowest terms; a common power
+    of two leaves the bit lengths' difference alone, so only a d with an odd
+    factor needs the gcd."""
+    if d & (d - 1):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    e = abs(n).bit_length() - d.bit_length()  # log2 |n/d| to within 1
     w = work.bits + _FIXED_GUARD - (1 if s is None else s) * e
-    low, high = _fixed_series(n, d, s, w)
-    return Q(low, 1 << w), Q(high, 1 << w)
+    return (*_fixed_series(n, d, s, w), w)
 
 
 def _series(x: Enclosure, s: int | None, work: Precision) -> Enclosure:
@@ -365,18 +497,18 @@ def _series(x: Enclosure, s: int | None, work: Precision) -> Enclosure:
     _SERIES_LIMIT[s]: sin increases to pi/2 > 9/8, arctan and x - sin x
     (of derivative 1 - cos x) everywhere; cos and 1 - cos are monotone in
     |x| to pi > 8/5, taking f(0) = 1 or 0 where x straddles 0."""
-    a, b = x.lo, x.hi
+    a, b, d = x._ends()
     if s == 0 or s == 2:
-        near = _ZERO if x.contains_zero() else min(abs(a), abs(b))
-        a, b = (near, x.mag_ub()) if s else (x.mag_ub(), near)
-    low = _fixed_bounds(a, s, work)
-    high = low if b == a else _fixed_bounds(b, s, work)
-    return Enclosure(low[0], high[1], work)
+        near = 0 if a <= 0 <= b else min(abs(a), abs(b))
+        a, b = (near, max(-a, b)) if s else (max(-a, b), near)
+    low = _fixed_bounds(a, d, s, work)
+    high = low if b == a else _fixed_bounds(b, d, s, work)
+    return _pair(low[0], low[2], high[1], high[2], work)
 
 
 def _reduce_quarter(x: Enclosure, work: Precision) -> tuple[Enclosure, int]:
     """Write x = y + q*(pi/2) with |y| small; return (y, q mod 4)."""
-    if x.mag_ub() <= 1:
+    if not x._mag_above(1):
         return x, 0
     half_pi = pi_reference(work) * Q(1, 2)
     q = round(x.mid / half_pi.mid)
@@ -389,12 +521,13 @@ def _sin_quarters(x: Enclosure, precision: Precision | None, shift: int) -> Encl
     p = precision or x.precision
     work = p.raised(_SERIES_GUARD)
     y, q = _reduce_quarter(x.at_precision(work), work)
-    if y.mag_ub() > _SERIES_LIMIT[0]:
+    if y._mag_above(_SERIES_LIMIT[0]):
         return Enclosure(Q(-1), _ONE, p)  # argument too wide to reduce
     q = (q + shift) % 4
     out = _series(y, 1 - q % 2, work)
     out = (out if q < 2 else -out).rounded(p)
-    return Enclosure(max(out.lo, Q(-1)), min(out.hi, _ONE), p)
+    a, b, d = out._ends()  # clamped to [-1, 1]
+    return _make(max(a, -d), min(b, d), max(out._k, 0), out._u, p)
 
 
 def enc_sin(x: Enclosure, precision: Precision | None = None) -> Enclosure:
@@ -424,7 +557,7 @@ def enc_arctan(x: Enclosure, precision: Precision | None = None) -> Enclosure:
     doublings = 0
     # halve the argument until the series converges briskly: the map
     # t -> t/(1 + sqrt(1 + t^2)) sends tan(a) to tan(a/2)
-    while y.mag_ub() > Q(27, 100):
+    while y._mag_above(_SERIES_LIMIT[None]):
         y = y / (Enclosure.point(_ONE, work) + enc_sqrt(y.square() + 1))
         doublings += 1
         if doublings > 200:
@@ -480,8 +613,7 @@ def pi_reference(precision: Precision) -> Enclosure:
         work = precision.raised(32)
         w = work.bits + _FIXED_GUARD
         (a, b), (c, d) = (_fixed_series(1, m, None, w) for m in (5, 239))
-        scale = 1 << w
-        fresh = Enclosure.from_endpoints(Q(16 * a - 4 * d, scale), Q(16 * b - 4 * c, scale), work)
+        fresh = _outward(16 * a - 4 * d, 16 * b - 4 * c, w, 1, work)
         if tight is not None:
             # both intervals contain pi, so the intersection does too;
             # intersecting keeps every previously returned coarsening valid
@@ -525,14 +657,15 @@ def bits_for_digits(digits: int) -> int:
 
 def decimal_string(x: Q, places: int, direction: str) -> str:
     """Fixed-point decimal with `places` fractional digits, floor or ceil."""
-    scale = 10**places
-    n, d = x.numerator * scale, x.denominator
-    if direction == "down":
-        q = n // d
-    elif direction == "up":
-        q = -(-n // d)
-    else:
+    if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    return _decimal(x.numerator, x.denominator, places, direction == "up")
+
+
+def _decimal(n: int, d: int, places: int, up: bool) -> str:
+    """decimal_string of n/d, d > 0."""
+    scale = 10**places
+    q = -(-n * scale // d) if up else n * scale // d
     sign = "-" if q < 0 else ""
     a = abs(q)
     if places == 0:
@@ -543,14 +676,15 @@ def decimal_string(x: Q, places: int, direction: str) -> str:
 _LOG10_2 = Q("0.3010299956639811952137388947244930267681")  # truncated log10 2
 
 
-def _dec_exponent(x: Q) -> int:
-    """e such that 10**e <= |x| < 10**(e+1); x must be nonzero.  With 2**m
-    <= |x| < 2**(m+1) and L = log10 2 < 1, e is floor(m L) or one more, and
-    one comparison decides.  _LOG10_2 gives floor(m L) exactly while |m| <
-    2**40, where m L stays over 3e-13 from every integer."""
-    x = abs(x)
-    e = math.floor(_mag_exponent(x) * _LOG10_2)
-    return e + 1 if x >= Q(10) ** (e + 1) else e
+def _dec_exponent(n: int, d: int) -> int:
+    """e such that 10**e <= |n|/d < 10**(e+1); n must be nonzero, d > 0.
+    With 2**m <= |n|/d < 2**(m+1) and L = log10 2 < 1, e is floor(m L) or
+    one more, and one comparison decides.  _LOG10_2 gives floor(m L) exactly
+    while |m| < 2**40, where m L stays over 3e-13 from every integer."""
+    e = math.floor(_mag(n, d) * _LOG10_2)
+    n = abs(n)
+    above = n >= d * 10 ** (e + 1) if e >= -1 else n * 10 ** (-1 - e) >= d
+    return e + 1 if above else e
 
 
 def _strip(s: str) -> str:
@@ -566,14 +700,17 @@ def render(enc: Enclosure, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digit count must be positive")
-    if enc.lo == 0 and enc.hi == 0:
-        return "0"
-    if enc.hi <= 0:
-        return "-" + render(Enclosure(-enc.hi, -enc.lo, enc.precision), digits)
-    places = max(0, digits - 1 - _dec_exponent(enc.mag_ub()))
-    low = decimal_string(enc.lo, places, "down")
-    high = decimal_string(enc.hi, places, "up")
-    if enc.lo < 0 < enc.hi:
+    return _render(*enc._ends(), digits)
+
+
+def _render(lo: int, hi: int, d: int, digits: int) -> str:
+    """render of [lo/d, hi/d], d > 0."""
+    if hi <= 0:
+        return "-" + _render(-hi, -lo, d, digits) if lo else "0"
+    places = max(0, digits - 1 - _dec_exponent(max(-lo, hi), d))
+    low = _decimal(lo, d, places, False)
+    high = _decimal(hi, d, places, True)
+    if lo < 0:
         return f"[{low}, {high}]"
     if low == high:
         return _strip(low)
@@ -606,13 +743,15 @@ def correct_digits(enc: Enclosure) -> int:
     bisection over [0, cap] finds m in about log2(cap+1) probes.
     """
     cap = max(1, enc.precision.bits * 301 // 1000)
-    lo_n, lo_d = enc.lo.numerator, enc.lo.denominator
-    hi_n, hi_d = enc.hi.numerator, enc.hi.denominator
+    lo, hi, k, u = enc._a, enc._b, enc._k, enc._u
+    if k < 0:
+        lo, hi, k = lo << -k, hi << -k, 0
     agree, differ = 0, cap + 1
     while differ - agree > 1:
         m = (agree + differ) // 2
         s = 10**m
-        if (lo_n * s) // lo_d == (hi_n * s) // hi_d:
+        # floor(x s/(u 2^k)) is a shift by k, then a floor division by u
+        if (lo * s >> k) // u == (hi * s >> k) // u:
             agree = m
         else:
             differ = m

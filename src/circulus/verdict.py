@@ -46,7 +46,7 @@ def _scientific(x: Fraction) -> str:
     that no margin underflows or overflows a float."""
     if x == 0:
         return "0.000e+00"
-    e = _dec_exponent(x)
+    e = _dec_exponent(x.numerator, x.denominator)
     digits = round(abs(x) * Q(10) ** (3 - e))  # half to even, in 1000..10000
     if digits == 10000:
         digits, e = 1000, e + 1

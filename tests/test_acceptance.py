@@ -149,7 +149,7 @@ def test_criterion_07_barycenter_equivalence():
         quad = barycenter.barycenter_oracle(r, theta, p, panels=512)
         assert _overlap(closed, quad), f"disjoint enclosures at theta={theta}"
         assert closed.width + quad.width < r / 10**9
-    _stamp(7, "barycenter-equivalence", t0, 60.0)
+    _stamp(7, "barycenter-equivalence", t0, 3.0)
 
 
 def test_criterion_08_balance_law():
@@ -234,4 +234,4 @@ def test_criterion_10_property_sweeps():
     assert low.lo < Q(30, 11) < low.hi and low.width < Q(1, 10**20)
     assert high.lo < Q(10, 3) < high.hi and high.width < Q(1, 10**20)
     assert Q(30, 11) < pi.lo and pi.hi < Q(10, 3)
-    _stamp(10, "property-sweeps", t0, 60.0)
+    _stamp(10, "property-sweeps", t0, 5.0)

@@ -246,7 +246,7 @@ def test_verdicts_do_not_depend_on_scale(capsys):
                  id="appendix-f-700"),
     pytest.param(["appendix-f", "--x", "0.453", "--digits", "1000", "--format", "csv"], 1.5,
                  id="appendix-f-1000"),
-    pytest.param(["barycenter", "--theta", "3pi/4", "--digits", "1000"], 10.0,
+    pytest.param(["barycenter", "--theta", "3pi/4", "--digits", "1000"], 2.0,
                  id="barycenter-1000"),
 ])
 def test_high_digit_runs_certify(args, budget):

@@ -705,4 +705,4 @@ def decimal_magnitudes(draw) -> Q:
 @given(x=decimal_magnitudes())
 @settings(max_examples=400, deadline=None)
 def test_dec_exponent_matches_the_decade_loop(x: Q) -> None:
-    assert exact._dec_exponent(x) == _dec_exponent_by_loop(x)
+    assert exact._dec_exponent(x.numerator, x.denominator) == _dec_exponent_by_loop(x)
